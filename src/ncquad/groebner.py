@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import HomogeneityError, IncompleteBasisError, MixedFieldsError
 from .linalg import SparseEchelon
-from .ncpoly import MonomialOrder, NcPoly, degree_lex
+from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,13 @@ class Presentation:
     relations: tuple
     order: MonomialOrder = None
     names: tuple = None
+    potential: NcPoly = None
 
     def __post_init__(self):
         if self.order is None:
             object.__setattr__(self, "order", degree_lex(self.ngens))
         if self.names is None:
-            default = ("x", "y", "z") if self.ngens <= 3 else tuple(f"x{i}" for i in range(self.ngens))
-            object.__setattr__(self, "names", tuple(default[: self.ngens]))
+            object.__setattr__(self, "names", _default_names(self.ngens))
         object.__setattr__(self, "relations", tuple(self.relations))
         for r in self.relations:
             if r.field != self.field:
@@ -52,17 +52,37 @@ class Presentation:
         return max((r.degree() for r in self.relations), default=0)
 
 
+class LeadIndex:
+    """Elements keyed by leading word, with the lead lengths longest first."""
+
+    def __init__(self, order, elements=()):
+        self.order = order
+        self.by_lead = {}
+        self.lengths = []
+        for g in elements:
+            self.add(g)
+
+    def add(self, g) -> tuple:
+        """Index g under its leading word, replacing any element with that lead."""
+        lead = g.leading_word(self.order)
+        self.by_lead[lead] = g
+        if len(lead) not in self.lengths:
+            self.lengths.append(len(lead))
+            self.lengths.sort(reverse=True)
+        return lead
+
+    def reduce(self, f: NcPoly) -> NcPoly:
+        return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self))
+
+
 class GroebnerBasis:
     """Truncated reduced basis: monic elements, certified up to `degree_bound`."""
 
-    def __init__(self, presentation, elements, degree_bound, complete_to_bound):
+    def __init__(self, presentation, elements, degree_bound):
         self.presentation = presentation
         self.elements = tuple(elements)
         self.degree_bound = degree_bound
-        self.complete_to_bound = complete_to_bound
-        order = presentation.order
-        self._by_lead = {g.leading_word(order): g for g in self.elements}
-        self._lengths = sorted({len(w) for w in self._by_lead}, reverse=True)
+        self.index = LeadIndex(presentation.order, self.elements)
 
     @property
     def order(self):
@@ -76,11 +96,7 @@ class GroebnerBasis:
         return tuple(g.leading_word(self.order) for g in self.elements)
 
     def reduce(self, f: NcPoly) -> NcPoly:
-        return NcPoly(
-            f.field,
-            f.ngens,
-            _normal_form_terms(f.terms, self._by_lead, self._lengths, self.order),
-        )
+        return self.index.reduce(f)
 
 
 def _find_redex(word, by_lead, lengths):
@@ -93,9 +109,11 @@ def _find_redex(word, by_lead, lengths):
     return None
 
 
-def _normal_form_terms(terms, by_lead, lengths, order):
+def _normal_form_terms(terms, index):
     """Fully reduce a term dict; deterministic leftmost-largest strategy."""
-    prec = order.precedence
+    by_lead = index.by_lead
+    lengths = index.lengths
+    prec = index.order.precedence
     out = {}
     work = dict(terms)
     # heap pops words in descending monomial order; reductions only create
@@ -130,14 +148,9 @@ def _normal_form_terms(terms, by_lead, lengths, order):
     return out
 
 
-def normal_form(f: NcPoly, basis) -> NcPoly:
-    """Normal form of f modulo a GroebnerBasis or a list of monic elements."""
-    if isinstance(basis, GroebnerBasis):
-        return basis.reduce(f)
-    order = degree_lex(f.ngens)
-    by_lead = {g.leading_word(order): g for g in basis}
-    lengths = sorted({len(w) for w in by_lead}, reverse=True)
-    return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, by_lead, lengths, order))
+def normal_form(f: NcPoly, basis: GroebnerBasis) -> NcPoly:
+    """Normal form of f modulo a GroebnerBasis."""
+    return basis.reduce(f)
 
 
 def _interreduce(polys, order):
@@ -146,14 +159,7 @@ def _interreduce(polys, order):
     while True:
         elems.sort(key=lambda g: order.key(g.leading_word(order)))
         for i in range(len(elems)):
-            others = elems[:i] + elems[i + 1 :]
-            by_lead = {g.leading_word(order): g for g in others}
-            lengths = sorted({len(w) for w in by_lead}, reverse=True)
-            h = NcPoly(
-                elems[i].field,
-                elems[i].ngens,
-                _normal_form_terms(elems[i].terms, by_lead, lengths, order),
-            )
+            h = LeadIndex(order, elems[:i] + elems[i + 1 :]).reduce(elems[i])
             if h != elems[i]:
                 if h:
                     elems[i] = h.monic(order)
@@ -182,9 +188,8 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
         raise ValueError(f"degree bound {degree_bound} below relation degree {maxrel}")
 
     basis = _interreduce(presentation.relations, order)
-    leads = [g.leading_word(order) for g in basis]
-    by_lead = {w: g for w, g in zip(leads, basis)}
-    lengths = sorted({len(w) for w in by_lead}, reverse=True)
+    index = LeadIndex(order)
+    leads = [index.add(g) for g in basis]
 
     # obstructions keyed by overlap degree; processing degree d only ever
     # enqueues obstructions of degree > d, so a single sweep suffices
@@ -201,9 +206,6 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
         for j in range(len(basis)):
             enqueue(i, j)
 
-    def nf(poly):
-        return NcPoly(field, poly.ngens, _normal_form_terms(poly.terms, by_lead, lengths, order))
-
     for d in range(2, degree_bound + 1):
         items = queue.pop(d, [])
         items.sort(key=lambda item: (order.key(item[0]), item[1], item[2], item[3]))
@@ -214,14 +216,12 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
             right = NcPoly.monomial(field, presentation.ngens, leads[j][k:])
             left = NcPoly.monomial(field, presentation.ngens, wi[: len(wi) - k])
             spoly = gi * right - left * gj
-            h = nf(spoly)
+            h = index.reduce(spoly)
             if not h:
                 continue
             h = h.monic(order)
             basis.append(h)
-            leads.append(h.leading_word(order))
-            by_lead[leads[-1]] = h
-            lengths = sorted({len(w) for w in by_lead}, reverse=True)
+            leads.append(index.add(h))
             m = len(basis) - 1
             new_idx.append(m)
             for e in range(len(basis)):
@@ -233,16 +233,16 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
         for m in new_idx:
             lead = leads[m]
             tail = NcPoly(field, basis[m].ngens, {w: c for w, c in basis[m].terms.items() if w != lead})
-            red = nf(tail)
+            red = index.reduce(tail)
             if red != tail:
                 g = NcPoly.monomial(field, basis[m].ngens, lead) + red
                 basis[m] = g
-                by_lead[lead] = g
+                index.add(g)
 
     elements = sorted(
         basis, key=lambda g: (len(g.leading_word(order)), tuple(order.precedence[c] for c in g.leading_word(order)))
     )
-    return GroebnerBasis(presentation, elements, degree_bound, True)
+    return GroebnerBasis(presentation, elements, degree_bound)
 
 
 def normal_words_by_degree(basis: GroebnerBasis, degree: int):
@@ -252,8 +252,8 @@ def normal_words_by_degree(basis: GroebnerBasis, degree: int):
             f"normal words requested to degree {degree}, basis certified to {basis.degree_bound}"
         )
     order = basis.order
-    lead_set = set(basis._by_lead)
-    lengths = basis._lengths
+    lead_set = basis.index.by_lead
+    lengths = basis.index.lengths
     gens = order.gens_descending()
     levels = [[()]]
     level = [()]

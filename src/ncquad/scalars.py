@@ -13,6 +13,7 @@ Rendering is the canonical inverse of parsing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,11 +205,11 @@ class _ModPBase:
         if type(other) is type(self):
             return self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -228,11 +229,9 @@ def _modp_class(p: int) -> type:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
-        d += 1
     return True
 
 
@@ -375,11 +374,14 @@ class PrimeField(Field):
     def theta(self):
         if self.p % 3 != 1:
             raise NoCubeRootError(f"GF({self.p}) has no primitive cube root of unity")
-        # smallest qualifying residue, for reproducible output
-        for r in range(2, self.p):
-            if pow(r, 3, self.p) == 1:
-                return self.from_int(r)
-        raise NoCubeRootError(f"GF({self.p}) has no primitive cube root of unity")
+        # g^((p-1)/3) != 1 is one primitive cube root and its square the
+        # other; return the smaller residue, for reproducible output
+        e = (self.p - 1) // 3
+        g = 2
+        while pow(g, e, self.p) == 1:
+            g += 1
+        t = pow(g, e, self.p)
+        return self.from_int(min(t, t * t % self.p))
 
     def parse(self, text):
         s = text.strip()

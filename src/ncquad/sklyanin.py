@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateDenominatorError, PreconditionViolatedError
 from .groebner import Presentation
-from .linalg import mat_mul, rref
+from .linalg import mat_mul, row_space_equal, rref
 from .ncpoly import LinearSub, NcPoly, apply_sub, degree_lex
 from .potential import relations_from_potential, sklyanin_potential, staircase_potential, sum_cube_potential
 from .scalars import QQ_THETA
@@ -114,25 +114,19 @@ def staircase_presentation(field, alpha, gamma) -> Presentation:
 # relation-space transport
 
 
-def _relation_rows(presentation):
-    return [[rel.coeff(w) for w in _WORDS2] for rel in presentation.relations]
+def _rows(relations):
+    """Coefficient rows of quadratic relations over the degree-2 words."""
+    return [[rel.coeff(w) for w in _WORDS2] for rel in relations]
 
 
 def _span_signature(presentation):
-    reduced, pivots = rref(_relation_rows(presentation), presentation.field)
+    reduced, pivots = rref(_rows(presentation.relations), presentation.field)
     return tuple(pivots), tuple(tuple(row) for row in reduced)
 
 
-def _transports(sub, source, target) -> bool:
-    moved = [apply_sub(rel, sub) for rel in source.relations]
-    rows = [[rel.coeff(w) for w in _WORDS2] for rel in moved]
-    ra, pa = rref(rows, source.field)
-    rb, pb = rref(_relation_rows(target), source.field)
-    return ra == rb and pa == pb
-
-
 def _verified(sub, source, target, what):
-    if not _transports(sub, source, target):
+    moved = _rows(apply_sub(rel, sub) for rel in source.relations)
+    if not row_space_equal(moved, _rows(target.relations), source.field):
         raise AssertionError(f"{what}: substitution does not transport the relation space")
     return sub
 
@@ -141,36 +135,16 @@ def _verified(sub, source, target, what):
 # elementary isomorphism moves
 
 
-def _sub_columns(field, cols):
-    return LinearSub.from_columns(field, cols)
-
-
 def root1_sub(triple: ParamTriple):
     """(p, q, r) -> (p, q, theta r) via z -> theta^2 z."""
-    f = triple.field
-    th = f.theta()
-    out = ParamTriple(f, triple.p, triple.q, th * triple.r)
-    one, zero = f.one, f.zero
-    sub = _sub_columns(f, [[one, zero, zero], [zero, one, zero], [zero, zero, th * th]])
+    out, sub = _root_moves(triple, triple.field.theta())[0]
     return out, _verified(sub, triple.presentation(), out.presentation(), "root1")
-
-
-def _root2_data(field, p, q, r, th):
-    one = field.one
-    sub = _sub_columns(
-        field,
-        [[one, one, one], [one, th, th * th], [one, th * th, th]],
-    )
-    return (th * th * p + th * q + r, th * p + th * th * q + r, p + q + r), sub
 
 
 def root2_sub(triple: ParamTriple):
     """(p, q, r) -> (t^2 p + t q + r, t p + t^2 q + r, p + q + r) for t = theta,
     via x -> x+y+z, y -> x + t y + t^2 z, z -> x + t^2 y + t z."""
-    f = triple.field
-    th = f.theta()
-    (pp, qp, rp), sub = _root2_data(f, triple.p, triple.q, triple.r, th)
-    out = ParamTriple(f, pp, qp, rp)
+    out, sub = _root_moves(triple, triple.field.theta())[1]
     if out.is_free():
         # the image relations vanish only when the source ones do
         return out, sub
@@ -179,26 +153,33 @@ def root2_sub(triple: ParamTriple):
 
 def _swap_xy_sub(field):
     one, zero = field.one, field.zero
-    return _sub_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    return LinearSub.from_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+
+
+def _root_moves(triple: ParamTriple, t):
+    """Unverified (root1, root2) moves for the primitive cube root t."""
+    f = triple.field
+    p, q, r = triple.p, triple.q, triple.r
+    one, zero = f.one, f.zero
+    t2 = t * t
+    root1 = LinearSub.from_columns(f, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]])
+    root2 = LinearSub.from_columns(f, [[one, one, one], [one, t, t2], [one, t2, t]])
+    return (
+        (ParamTriple(f, p, q, t * r), root1),
+        (ParamTriple(f, t2 * p + t * q + r, t * p + t2 * q + r, p + q + r), root2),
+    )
 
 
 def _iso_moves(triple: ParamTriple):
-    """Candidate elementary moves: both cube roots in each lemma, plus swap."""
+    """Unverified elementary moves: the root moves for t = theta and
+    t = theta^2, then the x/y swap."""
     f = triple.field
     th = f.theta()
-    th2 = th * th
-    one, zero = f.one, f.zero
-    moves = []
-    for root in (th, th2):
-        scaled = ParamTriple(f, triple.p, triple.q, root * triple.r)
-        scale_sub = _sub_columns(
-            f, [[one, zero, zero], [zero, one, zero], [zero, zero, root * root]]
-        )
-        moves.append((scaled, scale_sub))
-        (pp, qp, rp), sub = _root2_data(f, triple.p, triple.q, triple.r, root)
-        moves.append((ParamTriple(f, pp, qp, rp), sub))
-    moves.append((ParamTriple(f, triple.q, triple.p, triple.r), _swap_xy_sub(f)))
-    return moves
+    return [
+        *_root_moves(triple, th),
+        *_root_moves(triple, th * th),
+        (ParamTriple(f, triple.q, triple.p, triple.r), _swap_xy_sub(f)),
+    ]
 
 
 def _search_witness(source: ParamTriple, target: ParamTriple) -> LinearSub:
@@ -330,8 +311,8 @@ def substitution_chain(field, a, b) -> ChainResult:
     if a**3 == b**3:
         raise PreconditionViolatedError("a^3 = b^3; this family has a finite basis instead")
 
-    s1 = _sub_columns(field, [[-one / (a + b), zero, zero], [zero, one, zero], [zero, zero, one]])
-    s2 = _sub_columns(field, [[one, one, one], [one, th2, th], [one, th, th2]])
+    s1 = LinearSub.from_columns(field, [[-one / (a + b), zero, zero], [zero, one, zero], [zero, zero, one]])
+    s2 = LinearSub.from_columns(field, [[one, one, one], [one, th2, th], [one, th, th2]])
 
     pot = sklyanin_potential(field, a, b, one).value
     pot = apply_sub(apply_sub(pot, s1), s2)
@@ -349,12 +330,12 @@ def substitution_chain(field, a, b) -> ChainResult:
     if not (ap and bp and (ap - bp) and (ap + bp)):
         raise PreconditionViolatedError("degenerate intermediate coefficients")
 
-    s3 = _sub_columns(
+    s3 = LinearSub.from_columns(
         field,
         [[ap / (ap + bp), zero, zero], [bp / (ap + bp), one, -one], [zero, zero, one]],
     )
     d3 = (ap - bp) ** 3
-    s4 = _sub_columns(
+    s4 = LinearSub.from_columns(
         field,
         [
             [one, -(ap - bp) / ap, ((ap + bp) ** 2 + ap * ap * bp) / d3],
@@ -365,26 +346,21 @@ def substitution_chain(field, a, b) -> ChainResult:
 
     composed = s4.compose(s3).compose(s2).compose(s1)
     source = sklyanin_presentation(field, a, b, one)
-    moved = [apply_sub(rel, composed) for rel in source.relations]
-    rows = [[rel.coeff(w) for w in _WORDS2] for rel in moved]
-    reduced, pivots = rref(rows, field)
+    reduced, pivots = rref(_rows(apply_sub(rel, composed) for rel in source.relations), field)
     lead_words = [_WORDS2[c] for c in pivots]
     if lead_words != [(X, X), (X, Y), (Y, Z)]:
         raise AssertionError(f"transported leading words are {lead_words}")
     idx = {w: i for i, w in enumerate(_WORDS2)}
     alpha = reduced[0][idx[(Z, Z)]]
     gamma = reduced[1][idx[(Z, Z)]]
-    expected = [[rel.coeff(w) for w in _WORDS2] for rel in staircase_relations(field, alpha, gamma)]
-    if reduced != expected:
+    if reduced != _rows(staircase_relations(field, alpha, gamma)):
         raise AssertionError("transported relations are not of staircase shape")
     if not (alpha or gamma):
         raise AssertionError("alpha = gamma = 0 cannot arise from an admissible pair")
 
     # the same data through the potential route must give the same span
     pot = apply_sub(apply_sub(pot, s3), s4)
-    pot_rels = relations_from_potential(pot)
-    pot_rows = [[rel.coeff(w) for w in _WORDS2] for rel in pot_rels]
-    if rref(pot_rows, field) != (reduced, pivots):
+    if rref(_rows(relations_from_potential(pot)), field) != (reduced, pivots):
         raise AssertionError("potential route and relation route disagree")
     nu = pot.coeff((X, X, X))
     if pot != staircase_potential(field, alpha, gamma).value.scale(nu):
@@ -508,7 +484,7 @@ def expected_normal_words(d: int, sigma_k=None):
 def _pair_maps(field):
     th = field.theta()
     th2 = th * th
-    one = field.one
+    one, zero = field.one, field.zero
 
     def scale_map(pair):
         a, b = pair
@@ -521,10 +497,10 @@ def _pair_maps(field):
             raise DegenerateDenominatorError("a + b + 1 = 0 during orbit closure")
         return ((th * a + th2 * b + one) / d, (th2 * a + th * b + one) / d)
 
-    scale_sub = _sub_columns(field, [[one, field.zero, field.zero], [field.zero, one, field.zero], [field.zero, field.zero, th]])
+    scale_sub = LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, th]])
     # the symmetric theta matrix itself transports onto the swapped image
     # pair, so the witness for the map as stated is its inverse
-    mix_sub = _sub_columns(field, [[th, th2, one], [th2, th, one], [one, one, one]]).inverse()
+    mix_sub = LinearSub.from_columns(field, [[th, th2, one], [th2, th, one], [one, one, one]]).inverse()
     return ((scale_map, scale_sub), (mix_map, mix_sub))
 
 
@@ -760,7 +736,7 @@ def one_dimensional_representations(triple: ParamTriple):
 
     if not r:
         if not s:
-            return [verify((f.one, f.one, f.one))] if (p or q) else [verify((f.one, f.one, f.one))]
+            return [verify((f.one, f.one, f.one))]
         return [verify((f.one, f.zero, f.zero))]
     if s**3 + r**3 == f.zero:
         return [verify((f.one, f.one, -r / s))]

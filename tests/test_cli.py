@@ -1,5 +1,6 @@
 """File parsing, command dispatch, JSON output, exit codes, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from ncquad import CharThreeError, HomogeneityError, ParseError, UnknownGeneratorError
 from ncquad.cli import parse_presentation, render_presentation, run_command
+from ncquad.ncpoly import parse_poly
 
 CORPUS = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -27,9 +29,12 @@ def test_parse_simple_presentation():
 
 
 def test_parse_potential_file():
-    pres = parse_presentation((CORPUS / "w.alg").read_text())
+    text = (CORPUS / "w.alg").read_text()
+    pres = parse_presentation(text)
     assert len(pres.relations) == 3
-    assert pres.potential is not None
+    line = next(ln for ln in text.splitlines() if ln.startswith("potential "))
+    assert pres.potential == parse_poly(line.split(" ", 1)[1], pres.field, pres.names)
+    assert "potential" in {f.name for f in dataclasses.fields(pres)}
 
 
 def test_parse_comments_and_order():
@@ -140,6 +145,25 @@ def test_recursion_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["states"][-1]["outcome"] == "Sigma"
+
+
+def test_classify_over_large_prime_field(capsys):
+    code, out, err = run(capsys, "sklyanin", "classify", "1", "2", "1", "--field", "GF(2147483647)")
+    assert code == 0
+    assert json.loads(out)["class"] == "GenericM1"
+
+
+def test_readme_commands_match_golden_output(capsys):
+    # each README command-line example against its stored stdout, byte for byte
+    golden = (Path(__file__).resolve().parent / "golden" / "readme_cli.txt").read_text()
+    blocks = golden.split("$ ncquad ")[1:]
+    assert len(blocks) == 10
+    for block in blocks:
+        command, expected = block.split("\n", 1)
+        argv = [str(CORPUS.parent / a) if a.startswith("presentations/") else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, command
+        assert out == expected, command
 
 
 def test_domain_error_exit_code(capsys):

@@ -15,7 +15,7 @@ from ncquad.groebner import (
     normal_form,
     normal_words,
 )
-from ncquad.ncpoly import NcPoly, degree_lex, parse_poly
+from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly
 
 NAMES = ("x", "y", "z")
 X, Y, Z = 0, 1, 2
@@ -74,11 +74,18 @@ def test_normal_form_untouched_and_self():
         assert not normal_form(r, g)
 
 
+def test_normal_form_custom_order():
+    order = MonomialOrder((1, 0))  # y > x
+    f = parse_poly("x*x*y - y*y*y", QQ, ("x", "y"))
+    g = complete(Presentation(QQ, 2, (f,), order), 4)
+    yyy = NcPoly.monomial(QQ, 2, (1, 1, 1))
+    assert normal_form(yyy, g) == parse_poly("x*x*y", QQ, ("x", "y"))
+
+
 def test_free_algebra_basis_empty():
     p = Presentation(QQ, 3, ())
     g = complete(p, 6)
     assert g.elements == ()
-    assert g.complete_to_bound
     assert hilbert_coeffs(g, 4) == [1, 3, 9, 27, 81]
 
 

@@ -1,5 +1,6 @@
 """Field arithmetic over Q, Q(w) and GF(p)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -52,9 +53,26 @@ def test_theta_cubed_and_minimal_polynomial():
         assert th * th + th + field.one == field.zero
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_cube_root_smallest_residue():
     assert GF(31).theta().v == 5
     assert GF(7).theta().v == 2
+    for p in range(7, 20000, 3):
+        if trial_division_is_prime(p):
+            scan = next(r for r in range(2, p) if pow(r, 3, p) == 1)
+            assert GF(p).theta().v == scan, p
+    assert GF(2147483647).theta().v == 634005911
+
+
+def test_modp_hash_agrees_with_int_equality():
+    x = GF(31).from_int(1)
+    assert len({x, 1}) == 1
+    assert hash(x) == hash(x.v)
+    assert x == 1
+    assert x != 32
 
 
 def test_cube_root_unavailable():
