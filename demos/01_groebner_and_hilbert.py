@@ -3,7 +3,9 @@
 
 We complete a three-generator quadratic presentation to a degree bound,
 enumerate its normal words, and compare the resulting dimension counts with
-an independent exact row-reduction oracle that never looks at the basis.
+an independent oracle that never looks at the basis: it builds each graded
+piece from generators times a basis of the previous one, modulo the relation
+rows, by exact row reduction.
 """
 
 from ncquad import (

@@ -13,7 +13,6 @@ the result is certified.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .errors import HomogeneityError, IncompleteBasisError, MixedFieldsError
@@ -247,6 +246,8 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
 
 def normal_words_by_degree(basis: GroebnerBasis, degree: int):
     """Normal words for every degree 0..degree, each level in descending order."""
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     if degree > basis.degree_bound:
         raise IncompleteBasisError(
             f"normal words requested to degree {degree}, basis certified to {basis.degree_bound}"
@@ -283,22 +284,70 @@ def hilbert_coeffs(basis: GroebnerBasis, degree: int):
     return [len(level) for level in normal_words_by_degree(basis, degree)]
 
 
+def _graded_dims(presentation: Presentation, degree: int) -> list:
+    """[dim A_0, ..., dim A_degree] from one degree-by-degree sweep.
+
+    A_k is spanned by the products x_i*b, for x_i a generator and b a basis
+    word of A_{k-1}; these are the columns, labelled by the word (i,)+b.  The
+    rows are r*u, for r a relation of degree e and u a basis word of A_{k-e}:
+    the row of r*u is sum_w c_w x_{w0}*[w1...w_{e-1}*u], where the class in
+    brackets comes from the left-multiplication tables L_i: A_{j-1} -> A_j,
+    applied right to left.  The non-pivot columns are the basis of A_k, and
+    the table at degree k sends each column to its remainder against the
+    degree-k echelon.  Nothing here touches the completion engine.
+    """
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
+    field = presentation.field
+    one = field.one
+    gens = presentation.order.gens_descending()
+    relations = [(r.degree(), list(r.terms.items())) for r in presentation.relations]
+    bases = [[()]]  # basis words of A_j, in descending order
+    tables = [None]  # tables[j][i][b]: class of x_i*b in A_j, for b in bases[j-1]
+    dims = [1]
+    for k in range(1, degree + 1):
+        # deg-lex compares the first letter first, so this is descending
+        # order.key; a column's key is minus its position
+        columns = [(i,) + b for i in gens for b in bases[k - 1]]
+        position = {c: -j for j, c in enumerate(columns)}
+        ech = SparseEchelon(field, position.__getitem__)
+        for e, terms in relations:
+            if e > k:
+                continue
+            for u in bases[k - e]:
+                row = {}
+                for w, c in terms:
+                    coords = {u: one}
+                    for j in range(e - 1, 0, -1):
+                        coords = _apply(tables[k - j][w[j]], coords)
+                    head = (w[0],)
+                    for b, v in coords.items():
+                        col = head + b
+                        acc = row.get(col)
+                        row[col] = c * v if acc is None else acc + c * v
+                ech.add(row)
+        dims.append(len(columns) - ech.rank)
+        if k < degree:
+            bases.append([c for c in columns if c not in ech.rows])
+            tables.append(
+                [{b: ech.reduce({(i,) + b: one}) for b in bases[k - 1]} for i in range(presentation.ngens)]
+            )
+    return dims
+
+
+def _apply(table, coords):
+    """Image of the element sum_b coords[b] * b under a multiplication table."""
+    out = {}
+    for b, c in coords.items():
+        for w, v in table[b].items():
+            acc = out.get(w)
+            out[w] = c * v if acc is None else acc + c * v
+    return {w: v for w, v in out.items() if v}
+
+
 def graded_dim_oracle(presentation: Presentation, degree: int) -> int:
-    """dim A_d without Groebner machinery: ngens^d minus the rank of the
-    spanning set {u * r * v} in monomial coordinates, by exact row reduction."""
-    n = presentation.ngens
-    if degree == 0:
-        return 1
-    order = presentation.order
-    ech = SparseEchelon(presentation.field, order.key)
-    for r in presentation.relations:
-        e = r.degree()
-        if e > degree:
-            continue
-        items = list(r.terms.items())
-        for udeg in range(degree - e + 1):
-            vdeg = degree - e - udeg
-            for u in itertools.product(range(n), repeat=udeg):
-                for v in itertools.product(range(n), repeat=vdeg):
-                    ech.add({u + w + v: c for w, c in items})
-    return n**degree - ech.rank
+    """dim A_d without Groebner machinery: each graded piece A_k is built from
+    the products of generators with a basis of A_{k-1}, modulo the relation
+    rows, by exact sparse row reduction.  The cost is polynomial in
+    ngens * dim A_{d-1}."""
+    return _graded_dims(presentation, degree)[degree]

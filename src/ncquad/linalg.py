@@ -3,8 +3,9 @@
 Dense routines (RREF, rank, nullspace, inverse) work on lists of rows whose
 entries support field arithmetic; no pivot-size heuristics are needed over
 exact fields.  `SparseEchelon` is an incremental echelon form on sparse rows
-keyed by arbitrary hashable column labels, used by the graded dimension
-oracle where rows have very few nonzero entries.
+keyed by arbitrary hashable column labels.  The graded dimension oracle runs
+one per degree: its rows have a handful of terms, but their remainders, and
+the multiplication tables read off them, can fill up to the whole degree.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class SparseEchelon:
     """Incremental echelon form over sparse rows with hashable column keys.
 
     `key` orders columns; the pivot of a row is its largest column under
-    `key`.  Rows are stored pivot-normalized, without back substitution,
-    which keeps fill-in low for the structured inputs we feed it.
+    `key`.  Rows are stored pivot-normalized and reduced against the rows
+    stored before them; later rows are not substituted back.
     """
 
     def __init__(self, field, key):
@@ -111,26 +112,42 @@ class SparseEchelon:
     def rank(self):
         return len(self.rows)
 
-    def add(self, row):
-        """Reduce `row` (dict column -> coeff) and absorb it; True if rank grew."""
-        row = {c: v for c, v in row.items() if v}
+    def reduce(self, row):
+        """Fully reduced remainder of `row` (dict column -> coeff): a new dict
+        in which no column is a pivot."""
         key = self.key
         rows = self.rows
-        while row:
-            piv = max(row, key=key)
-            existing = rows.get(piv)
-            if existing is None:
-                inv = self.field.one / row[piv]
-                rows[piv] = {c: v * inv for c, v in row.items()}
-                return True
+        row = {c: v for c, v in row.items() if v}
+        hits = {c for c in row if c in rows}
+        # eliminating a pivot only brings in smaller columns, so taking the
+        # largest pivot column first ends after at most one step per pivot
+        while hits:
+            piv = max(hits, key=key)
+            hits.discard(piv)
             f = row.pop(piv)
-            for c, v in existing.items():
+            for c, v in rows[piv].items():
                 if c == piv:
                     continue
                 nv = row.get(c)
-                nv = -f * v if nv is None else nv - f * v
+                if nv is None:
+                    row[c] = -f * v
+                    if c in rows:
+                        hits.add(c)
+                    continue
+                nv = nv - f * v
                 if nv:
                     row[c] = nv
                 else:
-                    row.pop(c, None)
-        return False
+                    del row[c]
+                    hits.discard(c)
+        return row
+
+    def add(self, row):
+        """Reduce `row` (dict column -> coeff) and absorb it; True if rank grew."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        piv = max(row, key=self.key)
+        inv = self.field.one / row[piv]
+        self.rows[piv] = {c: v * inv for c, v in row.items()}
+        return True

@@ -18,6 +18,7 @@ from ncquad import GF, QQ, QQ_THETA, ThetaRational
 from ncquad.cli import parse_presentation
 from ncquad.groebner import (
     Presentation,
+    _graded_dims,
     complete,
     graded_dim_oracle,
     hilbert_coeffs,
@@ -25,7 +26,7 @@ from ncquad.groebner import (
     normal_words_by_degree,
 )
 from ncquad.linalg import SparseEchelon, row_space_equal, rref
-from ncquad.ncpoly import NcPoly, apply_sub, degree_lex, parse_poly
+from ncquad.ncpoly import MonomialOrder, NcPoly, apply_sub, degree_lex, parse_poly
 from ncquad.quadratic import (
     QuadraticAlgebra,
     dual_hypotheses,
@@ -88,6 +89,8 @@ def expand_series(num, den, degree):
 
 
 def degree_ideal_rows(presentation, degree):
+    """Every u*r*v of the given degree in monomial coordinates: the
+    exponential reference the degree-by-degree oracle is checked against."""
     rows = []
     for r in presentation.relations:
         e = r.degree()
@@ -334,6 +337,37 @@ def test_acceptance_08_oracle_equivalence():
         for d in range(7):
             assert graded_dim_oracle(pres, d) == h[d], (name, d)
     print("\nACCEPTANCE 8 PASS: basis counts equal oracle dimensions on the whole corpus")
+
+
+def test_oracle_matches_uvr_rank():
+    rng = random.Random(808)
+    cases = [(name, pres_text(name)) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
+    triples = [random_triple(field, rng) for field in (F31, QQ_THETA) for _ in range(3)]
+    triples += [ParamTriple.make(QQ, *(rng.randint(-4, 4) for _ in range(3))) for _ in range(3)]
+    for t in triples:
+        cases.append((t, sklyanin_presentation(t.field, t.p, t.q, t.r)))
+    # relations of degree 1, 3 and 4, and a non-default generator order
+    mixed = [
+        (["x*y*z - z*y*x + x*x*x", "y*y*x - x*y*y", "z*z - x*y"], MonomialOrder((2, 0, 1))),
+        (["x - z", "y*y*z*x + x*y*y*y"], None),
+    ]
+    for texts, order in mixed:
+        rels = tuple(parse_poly(t, QQ, NAMES) for t in texts)
+        cases.append((texts, Presentation(QQ, 3, rels, order=order)))
+    for label, pres in cases:
+        brute = []
+        for d in range(6):
+            ech = SparseEchelon(pres.field, ORD3.key)
+            for row in degree_ideal_rows(pres, d):
+                ech.add(row)
+            brute.append(3**d - ech.rank)
+        assert _graded_dims(pres, 5) == brute, label
+
+
+def test_oracle_matches_completion_to_degree_10():
+    for name in sorted(p.name for p in CORPUS.glob("*.alg")):
+        pres = pres_text(name)
+        assert _graded_dims(pres, 10) == hilbert_coeffs(complete(pres, 10), 10), name
 
 
 def test_acceptance_09_isomorphism_group():

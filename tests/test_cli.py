@@ -96,6 +96,13 @@ def test_oracle_command(capsys):
     assert json.loads(out) == {"oracle": [1, 3, 9, 27]}
 
 
+def test_oracle_negative_degree_exit_code(capsys):
+    code, out, err = run(capsys, "oracle", str(CORPUS / "w.alg"), "--deg", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
 def test_dual_command(capsys):
     code, out, err = run(capsys, "dual", str(CORPUS / "sklyanin_0_0_1.alg"))
     assert code == 0

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from ncquad import GF, QQ, QQ_THETA, IncompleteBasisError
+from ncquad import groebner
 from ncquad.groebner import (
     GroebnerBasis,
+    LeadIndex,
     Presentation,
     complete,
     graded_dim_oracle,
     hilbert_coeffs,
     normal_form,
     normal_words,
+    normal_words_by_degree,
 )
 from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly
 
@@ -233,6 +236,30 @@ def test_oracle_matches_hilbert():
         h = hilbert_coeffs(g, 5)
         for d in range(6):
             assert graded_dim_oracle(p, d) == h[d]
+
+
+def test_negative_degree_rejected():
+    p = pres(W_RELATIONS)
+    with pytest.raises(ValueError):
+        graded_dim_oracle(p, -1)
+    g = complete(p, 4)
+    with pytest.raises(ValueError):
+        normal_words_by_degree(g, -1)
+    with pytest.raises(ValueError):
+        hilbert_coeffs(g, -1)
+
+
+def test_oracle_independent_of_completion(monkeypatch):
+    expected = [graded_dim_oracle(pres(W_RELATIONS), d) for d in range(7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the completion engine")
+
+    for name in ("_normal_form_terms", "complete", "normal_words_by_degree", "normal_words"):
+        monkeypatch.setattr(groebner, name, refuse)
+    monkeypatch.setattr(LeadIndex, "reduce", refuse)
+    assert [graded_dim_oracle(pres(W_RELATIONS), d) for d in range(7)] == expected == [1, 3, 6, 10, 17, 30, 52]
+    assert groebner._graded_dims(pres(W_RELATIONS), 6) == expected
 
 
 def test_completion_canonical_under_permutation():
