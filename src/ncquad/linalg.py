@@ -6,6 +6,7 @@ exact fields.  `SparseEchelon` is an incremental echelon form on sparse rows
 keyed by arbitrary hashable column labels.  The graded dimension oracle runs
 one per degree: its rows have a handful of terms, but their remainders, and
 the multiplication tables read off them, can fill up to the whole degree.
+The annihilator checks run one per kernel, on rows of reduced products.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ from .groebner import (
     hilbert_coeffs,
     normal_words_by_degree,
 )
-from .linalg import nullspace, rank, rref
+# rank is unused here but stays a module attribute: the traced benchmark run
+# (perfbench/tracing.py) wraps it at this import site
+from .linalg import SparseEchelon, nullspace, rank, rref  # noqa: F401
 from .ncpoly import NcPoly
 
 
@@ -113,25 +115,19 @@ class DualHypotheses:
 def _stacked_kernel_dim(basis: GroebnerBasis, vectors, multipliers, vector_side):
     """dim of {sum c_j vectors[j] : its product with every multiplier is 0}.
 
-    `vector_side` says which side of the product the vector sits on.
+    `vector_side` says which side of the product the vector sits on.  Row j
+    holds the reduced products of vectors[j] with each multiplier, keyed by
+    (multiplier index, normal word); the rows span the image, so the kernel
+    dimension is len(vectors) minus their rank, found by sparse elimination.
     """
-    field = basis.field
-    rows = []
-    cols = {}
+    ech = SparseEchelon(basis.field, lambda col: col)
     for v in vectors:
         row = {}
         for mi, m in enumerate(multipliers):
             prod = v * m if vector_side == "left" else m * v
-            red = basis.reduce(prod)
-            for w, c in red.terms.items():
-                key = (mi, w)
-                row[key] = c
-                cols[key] = None
-        rows.append(row)
-    col_list = list(cols)
-    matrix = [[row.get(k, field.zero) for k in col_list] for row in rows]
-    # the span of the rows is the image, so nullity = #vectors - row rank
-    return len(vectors) - rank(matrix, field)
+            row.update(((mi, w), c) for w, c in basis.reduce(prod).terms.items())
+        ech.add(row)
+    return len(vectors) - ech.rank
 
 
 def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:

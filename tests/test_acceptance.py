@@ -25,7 +25,7 @@ from ncquad.groebner import (
     normal_words,
     normal_words_by_degree,
 )
-from ncquad.linalg import SparseEchelon, row_space_equal, rref
+from ncquad.linalg import SparseEchelon, rank, row_space_equal, rref
 from ncquad.ncpoly import MonomialOrder, NcPoly, apply_sub, degree_lex, parse_poly
 from ncquad.quadratic import (
     QuadraticAlgebra,
@@ -69,8 +69,11 @@ def pres_text(name):
 
 
 def random_triple(field, rng):
+    """Uniform over GF(p); integer parts in [-4, 4] over Q and Q(w)."""
     if field is QQ_THETA:
         vals = [ThetaRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3)]
+    elif field is QQ:
+        vals = [QQ.from_int(rng.randint(-4, 4)) for _ in range(3)]
     else:
         vals = [field.from_int(rng.randrange(field.characteristic())) for _ in range(3)]
     return ParamTriple(field, *vals)
@@ -342,8 +345,7 @@ def test_acceptance_08_oracle_equivalence():
 def test_oracle_matches_uvr_rank():
     rng = random.Random(808)
     cases = [(name, pres_text(name)) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
-    triples = [random_triple(field, rng) for field in (F31, QQ_THETA) for _ in range(3)]
-    triples += [ParamTriple.make(QQ, *(rng.randint(-4, 4) for _ in range(3))) for _ in range(3)]
+    triples = [random_triple(field, rng) for field in (F31, QQ_THETA, QQ) for _ in range(3)]
     for t in triples:
         cases.append((t, sklyanin_presentation(t.field, t.p, t.q, t.r)))
     # relations of degree 1, 3 and 4, and a non-default generator order
@@ -367,7 +369,93 @@ def test_oracle_matches_uvr_rank():
 def test_oracle_matches_completion_to_degree_10():
     for name in sorted(p.name for p in CORPUS.glob("*.alg")):
         pres = pres_text(name)
-        assert _graded_dims(pres, 10) == hilbert_coeffs(complete(pres, 10), 10), name
+        g = complete(pres, 10)
+        counted = hilbert_coeffs(g, 10)
+        assert _graded_dims(pres, 10) == counted, name
+        assert counted == [len(level) for level in normal_words_by_degree(g, 10)], name
+
+
+def test_counted_series_matches_listed_words():
+    rng = random.Random(410)
+    bases = []
+    for field, bound in ((F31, 10), (QQ_THETA, 8)):
+        for _ in range(2):
+            t = random_triple(field, rng)
+            bases.append((t, complete(t.presentation(), bound)))
+    for _ in range(2):
+        alpha, gamma = (F31.from_int(rng.randrange(31)) for _ in range(2))
+        bases.append(((alpha, gamma), complete(staircase_presentation(F31, alpha, gamma), 8)))
+    for label, g in bases:
+        D = g.degree_bound
+        assert hilbert_coeffs(g, D) == [len(level) for level in normal_words_by_degree(g, D)], label
+
+
+def test_high_degree_series_counted():
+    free = hilbert_coeffs(complete(pres_text("free.alg"), 30), 30)
+    assert free == [3**d for d in range(31)]
+    mono = hilbert_coeffs(complete(pres_text("sklyanin_0_0_1.alg"), 30), 30)
+    assert mono == [1] + [3 * 2 ** (d - 1) for d in range(1, 31)]
+
+
+def dense_kernel_dim(basis, vectors, multipliers, vector_side):
+    """dim of {sum c_j vectors[j] : its product with every multiplier is 0},
+    by the dense rank of the stacked product matrix: the reference for the
+    sparse elimination in the annihilator checks."""
+    rows = []
+    for v in vectors:
+        row = {}
+        for mi, m in enumerate(multipliers):
+            prod = v * m if vector_side == "left" else m * v
+            row.update(((mi, w), c) for w, c in basis.reduce(prod).terms.items())
+        rows.append(row)
+    cols = sorted({col for row in rows for col in row})
+    zero = basis.field.zero
+    return len(vectors) - rank([[row.get(col, zero) for col in cols] for row in rows], basis.field)
+
+
+def random_sparse_quadratic(rng):
+    """Five to seven GF(31) relations, each on one or two degree-2 words:
+    small algebras whose annihilators are often nonzero, on one side only."""
+    rels = []
+    for _ in range(rng.randint(5, 7)):
+        support = rng.sample(WORDS2, rng.randint(1, 2))
+        rels.append(NcPoly.from_pairs(F31, 3, [(w, F31.from_int(rng.randrange(1, 31))) for w in support]))
+    return QuadraticAlgebra(Presentation(F31, 3, tuple(rels)))
+
+
+def test_annihilators_match_dense_rank():
+    rng = random.Random(511)
+    algebras = [(name, QuadraticAlgebra(pres_text(name))) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
+    for field in (F31, QQ, QQ_THETA):
+        for _ in range(2):
+            t = random_triple(field, rng)
+            algebras.append((t, QuadraticAlgebra(t.presentation())))
+    algebras += [(f"sparse {i}", random_sparse_quadratic(rng)) for i in range(6)]
+    for label, alg in algebras:
+        gens = [NcPoly.gen(alg.field, 3, j) for j in range(3)]
+        g = complete(alg.presentation, 6)
+        for d in range(1, 6):
+            words = normal_words(g, d)
+            vectors = [NcPoly.monomial(alg.field, 3, w) for w in words]
+            expected = dense_kernel_dim(g, vectors, gens, "right") if words else 0
+            assert right_annihilator_dim(alg, d) == expected, (label, d)
+
+        dual = dual_algebra(alg)
+        dims = _graded_dims(dual.presentation, 4)
+        gd = complete(dual.presentation, 4)
+        dual2 = [NcPoly.monomial(dual.field, 3, w) for w in normal_words(gd, 2)]
+        if dual2:
+            left = dense_kernel_dim(gd, gens, dual2, "left")
+            right = dense_kernel_dim(gd, gens, dual2, "right")
+        else:
+            left = right = 3
+        report = dual_hypotheses(alg)
+        assert (
+            report.dual4_zero,
+            report.dual3_dim,
+            report.no_dual_degree1_left_annihilator,
+            report.no_dual_degree1_right_annihilator,
+        ) == (dims[4] == 0, dims[3], left == 0, right == 0), label
 
 
 def test_acceptance_09_isomorphism_group():

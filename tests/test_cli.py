@@ -73,6 +73,12 @@ def test_hilbert_command(capsys):
     assert json.loads(out) == {"hilbert": [1, 3, 6, 10, 15, 21]}
 
 
+def test_hilbert_command_high_degree(capsys):
+    code, out, err = run(capsys, "hilbert", str(CORPUS / "free.alg"), "--deg", "30")
+    assert code == 0
+    assert json.loads(out)["hilbert"][-1] == 3**30
+
+
 def test_gb_command_schema(capsys):
     code, out, err = run(capsys, "gb", str(CORPUS / "w.alg"), "--deg", "6")
     assert code == 0

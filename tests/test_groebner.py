@@ -1,5 +1,6 @@
 """Completion, normal forms, normal words, Hilbert coefficients, oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -217,6 +218,31 @@ def test_incomplete_basis_guard():
         hilbert_coeffs(g, 5)
     with pytest.raises(IncompleteBasisError):
         normal_words(g, 5)
+    with pytest.raises(IncompleteBasisError):
+        normal_words_by_degree(g, 5)
+
+
+def test_normal_words_match_factor_search():
+    # hand-picked lead sets, not reduced: a lead inside another, self-overlaps,
+    # a lead ending in a prefix of another, and a non-default generator order
+    cases = [
+        ([(X, Y), (X, Y, Z), (Z, Z, Z), (Y, X, Y, X)], degree_lex(3)),
+        ([(X, X, Y), (X, Y, X), (Y, Y), (Z, X, Z, Y)], MonomialOrder((2, 0, 1))),
+        ([(Z,), (X, Y, X, Y)], MonomialOrder((1, 2, 0))),
+    ]
+    for leads, order in cases:
+        p = Presentation(QQ, 3, (), order=order)
+        g = GroebnerBasis(p, [NcPoly.monomial(QQ, 3, w) for w in leads], 7)
+        expected = []
+        for d in range(8):
+            words = [
+                w
+                for w in itertools.product(range(3), repeat=d)
+                if not any(w[i : i + len(u)] == u for u in leads for i in range(d - len(u) + 1))
+            ]
+            expected.append(sorted(words, key=order.key, reverse=True))
+        assert normal_words_by_degree(g, 7) == expected, leads
+        assert hilbert_coeffs(g, 7) == [len(level) for level in expected], leads
 
 
 def test_oracle_examples():
