@@ -109,6 +109,13 @@ def test_oracle_negative_degree_exit_code(capsys):
     assert json.loads(err)["error"]["kind"] == "ValueError"
 
 
+def test_gb_negative_degree_exit_code(capsys):
+    code, out, err = run(capsys, "gb", str(CORPUS / "free.alg"), "--deg", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
 def test_dual_command(capsys):
     code, out, err = run(capsys, "dual", str(CORPUS / "sklyanin_0_0_1.alg"))
     assert code == 0

@@ -1,13 +1,16 @@
 """Completion, normal forms, normal words, Hilbert coefficients, oracle."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncquad import GF, QQ, QQ_THETA, IncompleteBasisError
 from ncquad import groebner
+from ncquad.cli import parse_presentation
 from ncquad.groebner import (
     GroebnerBasis,
     LeadIndex,
@@ -20,9 +23,18 @@ from ncquad.groebner import (
     normal_words_by_degree,
 )
 from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly
+from ncquad.scalars import ThetaRational
+from ncquad.sklyanin import (
+    RecursionOutcome,
+    coefficient_recursion,
+    in_m_set,
+    staircase_presentation,
+    substitution_chain,
+)
 
 NAMES = ("x", "y", "z")
 X, Y, Z = 0, 1, 2
+CORPUS = Path(__file__).resolve().parent.parent / "presentations"
 
 
 def pres(relation_texts, field=QQ):
@@ -220,6 +232,12 @@ def test_incomplete_basis_guard():
         normal_words(g, 5)
     with pytest.raises(IncompleteBasisError):
         normal_words_by_degree(g, 5)
+    # within the bound the remainder is unique; above it, it is not
+    assert not normal_form(NcPoly.monomial(QQ, 3, (X, Y, Y, Y)), g)
+    with pytest.raises(IncompleteBasisError):
+        normal_form(NcPoly.monomial(QQ, 3, (X, Y, Y, Y, Y)), g)
+    with pytest.raises(IncompleteBasisError):
+        g.reduce(NcPoly.monomial(QQ, 3, (Z, Z, Z, Z, Z)) + NcPoly.monomial(QQ, 3, (Z,)))
 
 
 def test_normal_words_match_factor_search():
@@ -273,6 +291,8 @@ def test_negative_degree_rejected():
         normal_words_by_degree(g, -1)
     with pytest.raises(ValueError):
         hilbert_coeffs(g, -1)
+    with pytest.raises(ValueError):
+        complete(Presentation(QQ, 3, ()), -1)
 
 
 def test_oracle_independent_of_completion(monkeypatch):
@@ -338,3 +358,134 @@ def test_sklyanin_lower_bound():
         h = hilbert_coeffs(g, 6)
         for n in range(7):
             assert h[n] >= (n + 1) * (n + 2) // 2
+
+
+def leftmost_normal_form_terms(terms, index):
+    """Reference reducer: the leftmost position first, and at a position the
+    longest lead, with the heap key rebuilt for every new word.  The kernel
+    in `groebner` rewrites at the rightmost redex instead; below the
+    certified degree both must give the same normal forms and bases."""
+    by_lead, lengths, prec = index.by_lead, index.lengths, index.order.precedence
+    out, work = {}, dict(terms)
+    heap = [(-len(w), tuple(prec[g] for g in w), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        _, _, w = heapq.heappop(heap)
+        c = work.pop(w, None)
+        if c is None:
+            continue
+        n = len(w)
+        hits = ((i, w[i : i + L]) for i in range(n) for L in lengths if i + L <= n)
+        hit = next(((i, u) for i, u in hits if u in by_lead), None)
+        if hit is None:
+            out[w] = c
+            continue
+        index.steps += 1
+        i, lead = hit
+        for t, ct in by_lead[lead].terms.items():
+            if t == lead:
+                continue
+            u = w[:i] + t + w[i + len(lead) :]
+            acc = work.get(u)
+            nv = -(c * ct) if acc is None else acc - c * ct
+            if nv:
+                if acc is None:
+                    heapq.heappush(heap, (-len(u), tuple(prec[g] for g in u), u))
+                work[u] = nv
+            else:
+                work.pop(u, None)
+    return out
+
+
+def staircase_pairs(seed):
+    """One GF(31) staircase presentation per recursion branch: generic
+    through k = 6, and finite entered at k = 2 and at k = 5."""
+    f31 = GF(31)
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(31) for b in range(31)]
+    rng.shuffle(pairs)
+    found = {}
+    for a, b in pairs:
+        a, b = f31.from_int(a), f31.from_int(b)
+        if not in_m_set(f31, a, b) or not (a + b) or a**3 == b**3:
+            continue
+        res = substitution_chain(f31, a, b)
+        states = coefficient_recursion(f31, res.alpha, res.gamma, 6)
+        generic = len(states) == 7 and all(s.outcome is RecursionOutcome.CONTINUE for s in states)
+        branch = "generic" if generic else states[-1].k
+        if branch in ("generic", 2, 5):
+            found.setdefault(branch, staircase_presentation(f31, res.alpha, res.gamma))
+        if len(found) == 3:
+            return [found["generic"], found[2], found[5]]
+    raise AssertionError("GF(31) lacks a staircase pair for some branch")
+
+
+def test_rightmost_redex_keeps_the_bases(monkeypatch):
+    rng = random.Random(505)
+    cases = [(parse_presentation(path.read_text()), 10) for path in sorted(CORPUS.glob("*.alg"))]
+    cases += [(p, 8) for p in staircase_pairs(505)]
+    for _ in range(2):
+        p, q, r = (ThetaRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
+        cases.append((sklyanin_pres(QQ_THETA, p, q, r), 7))
+    texts = ["x - z", "y*y*x - x*y*y + x*y*x", "y*x*y*x + x*x*y*y - y*y*y*x"]
+    rels = tuple(parse_poly(t, QQ, NAMES) for t in texts)
+    mixed = Presentation(QQ, 3, rels, order=MonomialOrder((1, 2, 0)))
+    cases.append((mixed, 9))
+    rightmost = [complete(p, D) for p, D in cases]
+    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    leftmost = [complete(p, D) for p, D in cases]
+    for (p, D), new, old in zip(cases, rightmost, leftmost):
+        assert list(new.elements) == list(old.elements), p
+    assert len(rightmost[-1].elements) > len(mixed.relations)
+
+
+def test_completion_stats(monkeypatch):
+    p = staircase_pairs(505)[0]
+    g = complete(p, 8)
+    assert [s.degree for s in g.stats] == list(range(1, 9))
+    for s in g.stats:
+        relations = sum(r.degree() == s.degree for r in p.relations)
+        assert s.obstructions + relations == s.zero_reductions + s.new_elements
+    assert len(g.elements) == sum(s.new_elements for s in g.stats)
+    steps = sum(s.steps for s in g.stats)
+    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    old = complete(p, 8)
+    # the redex choice moves only the step counts
+    assert [s._replace(steps=0) for s in old.stats] == [s._replace(steps=0) for s in g.stats]
+    assert steps < sum(s.steps for s in old.stats) / 2
+    assert GroebnerBasis(p, g.elements, 8).stats == ()
+
+
+def is_reduced(g):
+    """Monic elements, and no term divisible by a lead other than its own lead."""
+    leads = g.lead_words()
+    for e, lead in zip(g.elements, leads):
+        if e.terms[lead] != e.field.one:
+            return False
+        for w in e.terms:
+            for u in leads:
+                if (w, u) != (lead, lead) and any(w[i : i + len(u)] == u for i in range(len(w) - len(u) + 1)):
+                    return False
+    return True
+
+
+def test_mixed_degree_relations_complete_reduced():
+    # z*x*x*y, the lead of the quartic relation, contains z*x*x, the lead of
+    # an element that only appears in degree 3; the relation has to be
+    # reduced there too, leaving the lead y*x*x*x
+    f7 = GF(7)
+    texts = ["x*x + 5*z*z", "3*y*z*z*x + 3*z*x*x*y"]
+    p = Presentation(f7, 3, tuple(parse_poly(t, f7, NAMES) for t in texts), order=MonomialOrder((2, 1, 0)))
+    g = complete(p, 6)
+    assert list(g.lead_words()) == [(Z, Z), (Z, X, X), (Y, X, X, X)]
+    assert hilbert_coeffs(g, 6) == groebner._graded_dims(p, 6) == [1, 3, 8, 21, 54, 138, 352]
+    rng = random.Random(606)
+    for _ in range(40):
+        rels = []
+        for deg in rng.choice([(2, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4), (2, 4)]):
+            words = [tuple(rng.randrange(3) for _ in range(deg)) for _ in range(rng.randint(2, 4))]
+            rels.append(NcPoly(f7, 3, {w: f7.from_int(rng.randrange(1, 7)) for w in words}))
+        p = Presentation(f7, 3, tuple(rels), order=MonomialOrder(tuple(rng.sample(range(3), 3))))
+        g = complete(p, 6)
+        assert is_reduced(g), rels
+        assert hilbert_coeffs(g, 6) == groebner._graded_dims(p, 6), rels
