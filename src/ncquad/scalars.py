@@ -101,11 +101,17 @@ class ThetaRational:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        # repeated squaring from the base: x**3 takes 2 products, x**8 takes 3
         base = self.inverse() if n < 0 else self
-        out = ThetaRational(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        n = abs(n)
+        out = None
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return ThetaRational(1) if out is None else out
 
     def __eq__(self, other):
         o = self._coerce(other)

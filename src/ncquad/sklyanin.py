@@ -3,9 +3,10 @@ classification of parameter triples, the change-of-variables chain onto the
 staircase presentation, the normal-form recursion, and the isomorphism
 decision procedure with its 24-element group.
 
-Every recorded witness substitution is verified internally by transporting
-the relation space and comparing row spaces, so a wrong formula cannot
-survive silently.
+Every witness substitution the layer returns is verified internally by
+transporting the relation space and comparing row spaces, so a wrong formula
+cannot survive silently.  Orbit and witness searches record the edges they
+walk and compose a witness only along the one path a caller asks for.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _ORDER3 = degree_lex(3)
 _WORDS2 = sorted(((i, j) for i in range(3) for j in range(3)), key=_ORDER3.key, reverse=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamTriple:
     """Sklyanin parameter triple over an exact field of characteristic != 3."""
 
@@ -183,28 +184,46 @@ def _iso_moves(triple: ParamTriple):
 
 
 def _search_witness(source: ParamTriple, target: ParamTriple) -> LinearSub:
-    """Breadth-first composition of elementary moves from source to target,
-    keyed by relation-space signatures; the result is transport-verified."""
+    """Breadth-first search over elementary moves from source to target,
+    keyed by relation-space signatures; the moves along the path found are
+    composed into a transport-verified witness."""
     f = source.field
     target_sig = _span_signature(target.presentation())
     start_sig = _span_signature(source.presentation())
-    identity = LinearSub.identity(f, 3)
     if start_sig == target_sig:
-        return identity
-    seen = {start_sig}
-    frontier = deque([(source, identity)])
+        return LinearSub.identity(f, 3)
+    edges = {start_sig: None}
+    frontier = deque([(source, start_sig)])
     while frontier:
-        triple, acc = frontier.popleft()
+        triple, parent = frontier.popleft()
         for nxt, step in _iso_moves(triple):
             sig = _span_signature(nxt.presentation())
-            if sig in seen:
+            if sig in edges:
                 continue
-            composed = step.compose(acc)
+            edges[sig] = (parent, step)
             if sig == target_sig:
-                return _verified(composed, source.presentation(), target.presentation(), "witness search")
-            seen.add(sig)
-            frontier.append((nxt, composed))
+                witness = _compose_moves(f, _path_labels(edges, sig))
+                return _verified(witness, source.presentation(), target.presentation(), "witness search")
+            frontier.append((nxt, sig))
     raise AssertionError("no witness found; classification tables are inconsistent")
+
+
+def _path_labels(edges, node):
+    """Edge labels on the breadth-first path from the root of `edges`
+    (node -> (parent, label), root -> None) to `node`, first move first."""
+    labels = []
+    while edges[node] is not None:
+        node, label = edges[node]
+        labels.append(label)
+    return labels[::-1]
+
+
+def _compose_moves(field, subs):
+    """The substitution applying `subs` in order, composed onto the identity."""
+    acc = LinearSub.identity(field, 3)
+    for sub in subs:
+        acc = sub.compose(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +238,7 @@ class SklyaninKind(enum.Enum):
     GENERIC_M1 = "GenericM1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SklyaninClass:
     kind: SklyaninKind
     alpha: object = None
@@ -285,7 +304,7 @@ def in_m_set(field, a, b) -> bool:
     return bool((a or b) and ((a + b) ** 3 + one) and (a**3 - one or b**3 - one))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainResult:
     steps: tuple                 # the four substitutions, in application order
     composed: LinearSub
@@ -396,7 +415,7 @@ class RecursionOutcome(enum.Enum):
     RANK_ANOMALY = "RankAnomaly"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecursionState:
     k: int
     a: object
@@ -482,9 +501,11 @@ def expected_normal_words(d: int, sigma_k=None):
 
 
 def _pair_maps(field):
+    """The two generating maps on normalized pairs: (a, b) -> (w a, w b) and
+    the Möbius-type mix map."""
     th = field.theta()
     th2 = th * th
-    one, zero = field.one, field.zero
+    one = field.one
 
     def scale_map(pair):
         a, b = pair
@@ -497,50 +518,58 @@ def _pair_maps(field):
             raise DegenerateDenominatorError("a + b + 1 = 0 during orbit closure")
         return ((th * a + th2 * b + one) / d, (th2 * a + th * b + one) / d)
 
+    return (scale_map, mix_map)
+
+
+def _pair_subs(field):
+    """Witness substitutions of the two pair maps, in the order of `_pair_maps`."""
+    th = field.theta()
+    th2 = th * th
+    one, zero = field.one, field.zero
     scale_sub = LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, th]])
     # the symmetric theta matrix itself transports onto the swapped image
     # pair, so the witness for the map as stated is its inverse
     mix_sub = LinearSub.from_columns(field, [[th, th2, one], [th2, th, one], [one, one, one]]).inverse()
-    return ((scale_map, scale_sub), (mix_map, mix_sub))
+    return (scale_sub, mix_sub)
 
 
-def _orbit_with_witnesses(field, a, b, verify_edges=False):
-    """BFS closure of (a, b) under the two generating maps; values are
-    substitutions transporting Q^{a,b,1} onto the member's presentation."""
+def _orbit_edges(field, a, b):
+    """BFS closure of (a, b) under the two generating maps, as a dict from
+    each member to (parent, index of the map reaching it); the start maps to
+    None.  `_orbit_witness` composes the substitution for one member."""
     if not in_m_set(field, a, b):
         raise PreconditionViolatedError("(a, b) outside the admissible set")
     maps = _pair_maps(field)
     start = (a, b)
-    out = {start: LinearSub.identity(field, 3)}
+    edges = {start: None}
     frontier = deque([start])
     while frontier:
         pair = frontier.popleft()
-        acc = out[pair]
-        for fn, sub in maps:
+        for index, fn in enumerate(maps):
             nxt = fn(pair)
-            if nxt in out:
+            if nxt in edges:
                 continue
             if not in_m_set(field, *nxt):
                 raise AssertionError(f"orbit left the admissible set at {nxt}")
-            composed = sub.compose(acc)
-            if verify_edges:
-                _verified(
-                    sub,
-                    sklyanin_presentation(field, pair[0], pair[1], field.one),
-                    sklyanin_presentation(field, nxt[0], nxt[1], field.one),
-                    "orbit edge",
-                )
-            out[nxt] = composed
+            edges[nxt] = (pair, index)
             frontier.append(nxt)
-            if len(out) > 24:
+            if len(edges) > 24:
                 raise AssertionError("orbit exceeded 24 points")
-    return out
+    return edges
+
+
+def _orbit_witness(field, edges, pair):
+    """Substitution transporting Q^{a,b,1} (the root of `edges`) onto the
+    presentation of the orbit member `pair`."""
+    subs = _pair_subs(field)
+    return _compose_moves(field, [subs[i] for i in _path_labels(edges, pair)])
 
 
 def iso_group_orbit(field, a, b):
     """All normalized pairs presenting an algebra isomorphic to Q^{a,b,1},
-    as a deterministically ordered list of at most 24 pairs."""
-    orbit = _orbit_with_witnesses(field, a, b)
+    as a deterministically ordered list of at most 24 pairs.  Only the pairs
+    are computed; no witness substitution is composed."""
+    orbit = _orbit_edges(field, a, b)
     return sorted(orbit, key=lambda pr: (field.render(pr[0]), field.render(pr[1])))
 
 
@@ -557,7 +586,7 @@ def _proj_normalize(m, field):
     raise ValueError("zero matrix")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupInvariants:
     order: int
     center_order: int
@@ -662,7 +691,7 @@ def group_invariants() -> GroupInvariants:
 # the isomorphism decision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoDecision:
     isomorphic: bool
     reason: str
@@ -671,7 +700,11 @@ class IsoDecision:
 
 def are_isomorphic(t1: ParamTriple, t2: ParamTriple) -> IsoDecision:
     """Decide graded isomorphism of two Sklyanin algebras over the same field
-    and, when they are isomorphic, return a verified substitution witness."""
+    and, when they are isomorphic, return a verified substitution witness.
+
+    For two generic triples the witness runs through the orbit of the first
+    normalized pair; only the breadth-first path to the second pair is
+    composed, and the result is transport-checked like every other witness."""
     if t1.field != t2.field:
         raise PreconditionViolatedError("triples over different fields")
     f = t1.field
@@ -700,9 +733,9 @@ def are_isomorphic(t1: ParamTriple, t2: ParamTriple) -> IsoDecision:
         return IsoDecision(False, "quantum parameters neither equal nor reciprocal")
 
     pair1, pair2 = c1.pair, c2.pair
-    orbit = _orbit_with_witnesses(f, *pair1)
+    orbit = _orbit_edges(f, *pair1)
     if pair2 in orbit:
-        witness = c2.witness.inverse().compose(orbit[pair2]).compose(c1.witness)
+        witness = c2.witness.inverse().compose(_orbit_witness(f, orbit, pair2)).compose(c1.witness)
         return IsoDecision(True, "normalized pairs lie in one orbit", _check_witness(witness, t1, t2))
     return IsoDecision(False, "normalized pairs lie in different orbits")
 

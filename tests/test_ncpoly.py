@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncquad import QQ, QQ_THETA, MixedFieldsError
+from ncquad import GF, QQ, QQ_THETA, MixedFieldsError, ThetaRational
 from ncquad.ncpoly import (
     LinearSub,
     NcPoly,
@@ -196,6 +196,64 @@ def test_sub_composition_and_degree():
         if g:
             h = apply_sub(g, s1)
             assert (not h) or (h.is_homogeneous() and h.degree() == 3)
+
+
+def expand_reference(sub, f):
+    """The word-by-word expansion `LinearSub.apply` replaced: every word is
+    the product of its letters' image polynomials, summed with `+`."""
+    images = [sub.image(j) for j in range(sub.ngens)]
+    out = NcPoly.zero(f.field, f.ngens)
+    for w, c in f.terms.items():
+        prod = NcPoly.monomial(f.field, f.ngens, (), c)
+        for g in w:
+            prod = prod * images[g]
+        out = out + prod
+    return out
+
+
+def random_coeff(field, rng):
+    """A random scalar of `field`, zero one time in four."""
+    if rng.random() < 0.25:
+        return field.zero
+    if field is QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if field is QQ_THETA:
+        return ThetaRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-3, 3))
+    return field.from_int(rng.randrange(31))
+
+
+def random_sub(field, n, rng, shape):
+    """An n x n substitution: dense, singular (one column a multiple of
+    another) or with a zero column."""
+    cols = [[random_coeff(field, rng) for _ in range(n)] for _ in range(n)]
+    j, k = rng.sample(range(n), 2)
+    if shape == "singular":
+        c = random_coeff(field, rng)
+        cols[k] = [c * v for v in cols[j]]
+    elif shape == "zero column":
+        cols[k] = [field.zero] * n
+    return LinearSub.from_columns(field, cols)
+
+
+@pytest.mark.parametrize("field", [GF(31), QQ, QQ_THETA], ids=["GF31", "Q", "Qw"])
+def test_apply_matches_word_expansion(field):
+    rng = random.Random(21)
+    for n in (2, 3, 4):
+        names = tuple(f"x{i}" for i in range(n))
+        for trial in range(24):
+            size = 0 if trial == 0 else rng.randint(1, 8)
+            pairs = [
+                (tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))), random_coeff(field, rng))
+                for _ in range(size)
+            ]
+            if trial % 3 == 1:
+                pairs.append(((), field.one))
+            f = NcPoly.from_pairs(field, n, pairs)
+            for shape in ("dense", "singular", "zero column"):
+                sub = random_sub(field, n, rng, shape)
+                got, want = apply_sub(f, sub), expand_reference(sub, f)
+                assert got == want
+                assert render_poly(got, names) == render_poly(want, names)
 
 
 def test_render_parse_round_trip():

@@ -53,6 +53,32 @@ def test_theta_cubed_and_minimal_polynomial():
         assert th * th + th + field.one == field.zero
 
 
+def test_theta_pow_matches_repeated_multiplication():
+    rng = random.Random(8)
+    values = [QQ_THETA.theta(), ThetaRational(-1)]
+    values += [
+        ThetaRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for _ in range(8)
+    ]
+    for x in values:
+        if not x:
+            continue
+        for n in range(-6, 10):
+            base = x.inverse() if n < 0 else x
+            expected = ThetaRational(1)
+            for _ in range(abs(n)):
+                expected = expected * base
+            assert x**n == expected
+
+
+def test_theta_pow_of_zero():
+    zero = ThetaRational(0)
+    assert zero**0 == 1
+    assert zero**5 == 0
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+
+
 def trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,12 @@ import pytest
 from ncquad import GF, QQ, QQ_THETA, NoCubeRootError, PreconditionViolatedError, ThetaRational
 from ncquad.groebner import complete, graded_dim_oracle, hilbert_coeffs, normal_words
 from ncquad.linalg import row_space_equal
-from ncquad.ncpoly import apply_sub, degree_lex
+from ncquad.ncpoly import LinearSub, apply_sub, degree_lex
 from ncquad.sklyanin import (
+    _orbit_edges,
+    _orbit_witness,
+    _pair_maps,
+    _pair_subs,
     ChainResult,
     IsoDecision,
     ParamTriple,
@@ -436,6 +441,74 @@ def test_are_isomorphic_witnesses_transport():
         dec = are_isomorphic(t1, t2)
         assert dec.isomorphic
         check_witness(dec.witness, t1, t2)
+
+
+def eager_orbit_witnesses(field, a, b):
+    """Reference closure that composes every member's witness as the
+    breadth-first search reaches it."""
+    start = (a, b)
+    out = {start: LinearSub.identity(field, 3)}
+    frontier = deque([start])
+    while frontier:
+        pair = frontier.popleft()
+        for fn, sub in zip(_pair_maps(field), _pair_subs(field)):
+            nxt = fn(pair)
+            if nxt not in out:
+                out[nxt] = sub.compose(out[pair])
+                frontier.append(nxt)
+    return out
+
+
+ORBIT_FIELDS = [QQ_THETA, GF(31), GF(1000003)]
+ORBIT_FIELD_IDS = ["Qw", "GF31", "GF1000003"]
+
+
+def random_scalar(field, rng):
+    if field is QQ_THETA:
+        return ThetaRational(rng.randint(-4, 4), rng.randint(-4, 4))
+    return field.from_int(rng.randrange(field.characteristic()))
+
+
+def seeded_generic_pairs(field, rng, count):
+    pairs = []
+    while len(pairs) < count:
+        a, b = random_scalar(field, rng), random_scalar(field, rng)
+        if classify(ParamTriple(field, a, b, field.one)).kind is SklyaninKind.GENERIC_M1:
+            pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=ORBIT_FIELD_IDS)
+def test_orbit_path_witnesses_transport(field):
+    rng = random.Random(17)
+    for a, b in seeded_generic_pairs(field, rng, 2):
+        edges = _orbit_edges(field, a, b)
+        eager = eager_orbit_witnesses(field, a, b)
+        assert list(edges) == list(eager)
+        source = ParamTriple(field, a, b, field.one)
+        for pair in edges:
+            witness = _orbit_witness(field, edges, pair)
+            assert witness.matrix == eager[pair].matrix
+            check_witness(witness, source, ParamTriple(field, *pair, field.one))
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=ORBIT_FIELD_IDS)
+def test_are_isomorphic_witness_matches_eager_reference(field):
+    rng = random.Random(23)
+    for a, b in seeded_generic_pairs(field, rng, 2):
+        eager = eager_orbit_witnesses(field, a, b)
+        members = sorted(eager, key=lambda pr: (field.render(pr[0]), field.render(pr[1])))
+        for u, v in rng.sample(members, min(4, len(members))):
+            lam = mu = field.zero
+            while not (lam and mu):
+                lam, mu = random_scalar(field, rng), random_scalar(field, rng)
+            t1 = ParamTriple(field, lam * a, lam * b, lam)
+            t2 = ParamTriple(field, mu * u, mu * v, mu)
+            dec = are_isomorphic(t1, t2)
+            c1, c2 = classify(t1), classify(t2)
+            reference = c2.witness.inverse().compose(eager[(u, v)]).compose(c1.witness)
+            assert dec.isomorphic
+            assert dec.witness.matrix == reference.matrix
 
 
 def test_degenerate_never_isomorphic_to_nondegenerate():
