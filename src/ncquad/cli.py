@@ -128,8 +128,11 @@ def _fail(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _load(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load(args) -> Presentation:
+    """Parse the presentation file named by `args`, which holds exactly its path."""
+    if len(args) != 1:
+        raise ParseError(f"expected one presentation file, got arguments {args!r}")
+    with open(args[0], "r", encoding="utf-8") as fh:
         return parse_presentation(fh.read())
 
 
@@ -142,6 +145,14 @@ def _take_flag(args, name, default=None):
         del args[i : i + 2]
         return value
     return default
+
+
+def _int_flag(args, name, default):
+    value = _take_flag(args, name, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name} needs an integer, got {value!r}") from None
 
 
 def _scalar_matrix(sub, field):
@@ -171,8 +182,8 @@ def run_command(argv) -> int:
     cmd = args.pop(0)
     try:
         if cmd == "gb":
-            degree = int(_take_flag(args, "--deg", str(DEFAULT_DEGREE)))
-            pres = _load(args.pop(0))
+            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
+            pres = _load(args)
             basis = complete(pres, degree)
             return _emit(
                 {
@@ -188,16 +199,16 @@ def run_command(argv) -> int:
                 }
             )
         if cmd == "hilbert":
-            degree = int(_take_flag(args, "--deg", str(DEFAULT_DEGREE)))
-            pres = _load(args.pop(0))
+            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
+            pres = _load(args)
             basis = complete(pres, degree)
             return _emit({"hilbert": hilbert_coeffs(basis, degree)})
         if cmd == "oracle":
-            degree = int(_take_flag(args, "--deg", "4"))
-            pres = _load(args.pop(0))
+            degree = _int_flag(args, "--deg", 4)
+            pres = _load(args)
             return _emit({"oracle": _graded_dims(pres, degree)})
         if cmd == "dual":
-            pres = _load(args.pop(0))
+            pres = _load(args)
             dual = dual_algebra(QuadraticAlgebra(pres))
             dp = dual.presentation
             return _emit(
@@ -207,8 +218,8 @@ def run_command(argv) -> int:
                 }
             )
         if cmd == "koszul":
-            degree = int(_take_flag(args, "--deg", str(DEFAULT_DEGREE)))
-            pres = _load(args.pop(0))
+            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
+            pres = _load(args)
             alg = QuadraticAlgebra(pres)
             report = dual_hypotheses(alg)
             return _emit(
@@ -228,8 +239,6 @@ def run_command(argv) -> int:
         if cmd == "sklyanin":
             return _run_sklyanin(args)
         return _fail("usage", f"unknown command {cmd!r}", 2)
-    except IndexError:
-        return _fail("usage", f"missing argument for {cmd!r}", 2)
     except (ParseError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
     except (AlgebraError, ValueError, ZeroDivisionError) as exc:
@@ -241,9 +250,10 @@ def _run_sklyanin(args) -> int:
         return _fail("usage", "sklyanin needs a subcommand", 2)
     sub = args.pop(0)
     field = parse_field(_take_flag(args, "--field", "Q(w)"))
-    kmax = _take_flag(args, "--kmax", "8")
+    # only recursion takes --kmax; on another subcommand it is an extra argument
+    kmax = _int_flag(args, "--kmax", 8) if sub == "recursion" else None
     needed = {"classify": 3, "iso": 6, "orbit": 2, "chain": 2, "recursion": 2}
-    if sub in needed and len(args) < needed[sub]:
+    if sub in needed and len(args) != needed[sub]:
         return _fail("usage", f"sklyanin {sub} needs {needed[sub]} scalar arguments", 2)
 
     def triple(three):
@@ -277,7 +287,7 @@ def _run_sklyanin(args) -> int:
         )
     if sub == "recursion":
         alpha, gamma = (field.parse(s) for s in args[:2])
-        states = coefficient_recursion(field, alpha, gamma, int(kmax))
+        states = coefficient_recursion(field, alpha, gamma, kmax)
         return _emit(
             {
                 "states": [

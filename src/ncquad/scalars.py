@@ -281,7 +281,10 @@ class Field:
 def _parse_fraction(text: str) -> Fraction:
     if not _FRACTION_RE.fullmatch(text):
         raise ParseError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
 
 
 def render_theta(x: ThetaRational) -> str:
@@ -310,8 +313,8 @@ def parse_theta(text: str) -> ThetaRational:
     m = re.fullmatch(r"(?P<a>[+-]?\d+(?:/\d+)?)?(?P<sign>[+-])?(?:(?P<b>\d+(?:/\d+)?)\*)?w", s)
     if m is None:
         raise ParseError(f"bad Q(w) literal {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+    a = _parse_fraction(m.group("a")) if m.group("a") else Fraction(0)
+    b = _parse_fraction(m.group("b")) if m.group("b") else Fraction(1)
     if m.group("sign") == "-":
         b = -b
     if m.group("a") and m.group("sign") is None:

@@ -3,10 +3,13 @@ classification of parameter triples, the change-of-variables chain onto the
 staircase presentation, the normal-form recursion, and the isomorphism
 decision procedure with its 24-element group.
 
-Every witness substitution the layer returns is verified internally by
-transporting the relation space and comparing row spaces, so a wrong formula
-cannot survive silently.  Orbit and witness searches record the edges they
-walk and compose a witness only along the one path a caller asks for.
+Every witness substitution the layer returns is verified by transporting the
+relation space and comparing row spaces, so a wrong formula cannot survive
+silently; `classify` and `are_isomorphic` each check their witness once, at
+their single return.  One breadth-first walk (`_walk`) closes the triple moves
+for the witness search, the pair maps for the orbit and the generators for
+the group; it records the edge that first reached each point, and the
+substitutions of the moves are built only for a path that is composed.
 """
 
 from __future__ import annotations
@@ -138,18 +141,17 @@ def _verified(sub, source, target, what):
 
 def root1_sub(triple: ParamTriple):
     """(p, q, r) -> (p, q, theta r) via z -> theta^2 z."""
-    out, sub = _root_moves(triple, triple.field.theta())[0]
-    return out, _verified(sub, triple.presentation(), out.presentation(), "root1")
+    f = triple.field
+    out = _triple_maps(f)[0](triple)
+    return out, _verified(_triple_subs(f)[0], triple.presentation(), out.presentation(), "root1")
 
 
 def root2_sub(triple: ParamTriple):
     """(p, q, r) -> (t^2 p + t q + r, t p + t^2 q + r, p + q + r) for t = theta,
     via x -> x+y+z, y -> x + t y + t^2 z, z -> x + t^2 y + t z."""
-    out, sub = _root_moves(triple, triple.field.theta())[1]
-    if out.is_free():
-        # the image relations vanish only when the source ones do
-        return out, sub
-    return out, _verified(sub, triple.presentation(), out.presentation(), "root2")
+    f = triple.field
+    out = _triple_maps(f)[1](triple)
+    return out, _verified(_triple_subs(f)[1], triple.presentation(), out.presentation(), "root2")
 
 
 def _swap_xy_sub(field):
@@ -157,73 +159,83 @@ def _swap_xy_sub(field):
     return LinearSub.from_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
 
 
-def _root_moves(triple: ParamTriple, t):
-    """Unverified (root1, root2) moves for the primitive cube root t."""
-    f = triple.field
-    p, q, r = triple.p, triple.q, triple.r
-    one, zero = f.one, f.zero
-    t2 = t * t
-    root1 = LinearSub.from_columns(f, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]])
-    root2 = LinearSub.from_columns(f, [[one, one, one], [one, t, t2], [one, t2, t]])
-    return (
-        (ParamTriple(f, p, q, t * r), root1),
-        (ParamTriple(f, t2 * p + t * q + r, t * p + t2 * q + r, p + q + r), root2),
-    )
+def _triple_maps(field):
+    """The elementary moves on triples: root1 and root2 for t = theta, the
+    same for t = theta^2, then the x/y swap.  `_triple_subs` gives their
+    witnesses in the same order."""
+    maps = []
+    th = field.theta()
+    for t in (th, th * th):
+        t2 = t * t
+        maps.append(lambda s, t=t: ParamTriple(field, s.p, s.q, t * s.r))
+        maps.append(
+            lambda s, t=t, t2=t2: ParamTriple(
+                field, t2 * s.p + t * s.q + s.r, t * s.p + t2 * s.q + s.r, s.p + s.q + s.r
+            )
+        )
+    maps.append(lambda s: ParamTriple(field, s.q, s.p, s.r))
+    return maps
 
 
-def _iso_moves(triple: ParamTriple):
-    """Unverified elementary moves: the root moves for t = theta and
-    t = theta^2, then the x/y swap."""
-    f = triple.field
-    th = f.theta()
-    return [
-        *_root_moves(triple, th),
-        *_root_moves(triple, th * th),
-        (ParamTriple(f, triple.q, triple.p, triple.r), _swap_xy_sub(f)),
-    ]
+def _triple_subs(field):
+    """Witness substitutions of the triple moves, in the order of `_triple_maps`."""
+    one, zero = field.one, field.zero
+    subs = []
+    th = field.theta()
+    for t in (th, th * th):
+        t2 = t * t
+        subs.append(LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]]))
+        subs.append(LinearSub.from_columns(field, [[one, one, one], [one, t, t2], [one, t2, t]]))
+    subs.append(_swap_xy_sub(field))
+    return subs
+
+
+def _walk(start, moves, key=lambda node: node):
+    """Breadth-first closure of `start` under `moves`, one node per key.
+
+    Yields (edges, key, node) each time a key is first reached, the start
+    first.  `edges` maps every key reached so far to (parent key, index of the
+    move reaching it), and the start's key to None; a caller that has what it
+    needs leaves the loop, and no further node is expanded."""
+    start_key = key(start)
+    edges = {start_key: None}
+    yield edges, start_key, start
+    frontier = deque([(start, start_key)])
+    while frontier:
+        node, parent = frontier.popleft()
+        for index, move in enumerate(moves):
+            nxt = move(node)
+            nxt_key = key(nxt)
+            if nxt_key in edges:
+                continue
+            edges[nxt_key] = (parent, index)
+            yield edges, nxt_key, nxt
+            frontier.append((nxt, nxt_key))
+
+
+def _path_witness(field, edges, node, subs):
+    """The substitution along the walk path from the root of `edges` to
+    `node`: the moves' `subs`, first move first, composed onto the identity."""
+    indices = []
+    while edges[node] is not None:
+        node, index = edges[node]
+        indices.append(index)
+    acc = LinearSub.identity(field, 3)
+    for index in reversed(indices):
+        acc = subs[index].compose(acc)
+    return acc
 
 
 def _search_witness(source: ParamTriple, target: ParamTriple) -> LinearSub:
-    """Breadth-first search over elementary moves from source to target,
-    keyed by relation-space signatures; the moves along the path found are
-    composed into a transport-verified witness."""
+    """Walk the triple moves from source, keyed by relation-space signatures,
+    and compose the moves along the path to target's signature.  The caller
+    verifies the result."""
     f = source.field
     target_sig = _span_signature(target.presentation())
-    start_sig = _span_signature(source.presentation())
-    if start_sig == target_sig:
-        return LinearSub.identity(f, 3)
-    edges = {start_sig: None}
-    frontier = deque([(source, start_sig)])
-    while frontier:
-        triple, parent = frontier.popleft()
-        for nxt, step in _iso_moves(triple):
-            sig = _span_signature(nxt.presentation())
-            if sig in edges:
-                continue
-            edges[sig] = (parent, step)
-            if sig == target_sig:
-                witness = _compose_moves(f, _path_labels(edges, sig))
-                return _verified(witness, source.presentation(), target.presentation(), "witness search")
-            frontier.append((nxt, sig))
+    for edges, sig, _ in _walk(source, _triple_maps(f), lambda t: _span_signature(t.presentation())):
+        if sig == target_sig:
+            return _path_witness(f, edges, sig, _triple_subs(f))
     raise AssertionError("no witness found; classification tables are inconsistent")
-
-
-def _path_labels(edges, node):
-    """Edge labels on the breadth-first path from the root of `edges`
-    (node -> (parent, label), root -> None) to `node`, first move first."""
-    labels = []
-    while edges[node] is not None:
-        node, label = edges[node]
-        labels.append(label)
-    return labels[::-1]
-
-
-def _compose_moves(field, subs):
-    """The substitution applying `subs` in order, composed onto the identity."""
-    acc = LinearSub.identity(field, 3)
-    for sub in subs:
-        acc = sub.compose(acc)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -249,49 +261,36 @@ class SklyaninClass:
 
 def classify(triple: ParamTriple) -> SklyaninClass:
     """Total classification of a parameter triple over a field possessing a
-    primitive cube root of unity."""
+    primitive cube root of unity.  The free and generic triples present their
+    canonical algebra as given; the others walk to it."""
     f = triple.field
-    f.theta()  # NoCubeRootError if the classification layer is unavailable
+    th = f.theta()  # NoCubeRootError if the classification layer is unavailable
     p, q, r = triple.p, triple.q, triple.r
+    alpha = pair = None
 
     if triple.is_free():
-        canonical = ParamTriple(f, f.zero, f.zero, f.zero)
-        return SklyaninClass(SklyaninKind.FREE_ALGEBRA, witness=LinearSub.identity(f, 3), canonical=canonical)
-
-    if triple.is_degenerate():
-        mono_xx = (not p and not q and r) or (p == q and p and p**3 == r**3)
-        if mono_xx:
-            canonical = ParamTriple(f, f.zero, f.zero, f.one)
-            kind = SklyaninKind.MONO_XX
+        kind, canonical = SklyaninKind.FREE_ALGEBRA, ParamTriple(f, f.zero, f.zero, f.zero)
+    elif triple.is_degenerate():
+        if (not p and not q and r) or (p == q and p and p**3 == r**3):
+            kind, canonical = SklyaninKind.MONO_XX, ParamTriple(f, f.zero, f.zero, f.one)
         else:
-            canonical = ParamTriple(f, f.one, f.zero, f.zero)
-            kind = SklyaninKind.MONO_XY
-        return SklyaninClass(kind, witness=_search_witness(triple, canonical), canonical=canonical)
-
-    if triple.in_m2():
-        th = f.theta()
+            kind, canonical = SklyaninKind.MONO_XY, ParamTriple(f, f.one, f.zero, f.zero)
+    elif triple.in_m2():
         if not r:
             alpha = -q / p
         else:
             alpha = th * (p - th * th * q) / (p - th * q)
-        canonical = ParamTriple(f, f.one, -alpha, f.zero)
-        return SklyaninClass(
-            SklyaninKind.QUANTUM_POLY,
-            alpha=alpha,
-            witness=_search_witness(triple, canonical),
-            canonical=canonical,
-        )
+        kind, canonical = SklyaninKind.QUANTUM_POLY, ParamTriple(f, f.one, -alpha, f.zero)
+    else:
+        pair = triple.normalized_pair()
+        kind, canonical = SklyaninKind.GENERIC_M1, ParamTriple(f, *pair, f.one)
 
-    a, b = triple.normalized_pair()
-    canonical = ParamTriple(f, a, b, f.one)
-    return SklyaninClass(
-        SklyaninKind.GENERIC_M1,
-        pair=(a, b),
-        witness=_verified(
-            LinearSub.identity(f, 3), triple.presentation(), canonical.presentation(), "normalization"
-        ),
-        canonical=canonical,
-    )
+    if kind in (SklyaninKind.FREE_ALGEBRA, SklyaninKind.GENERIC_M1):
+        witness = LinearSub.identity(f, 3)
+    else:
+        witness = _search_witness(triple, canonical)
+    witness = _verified(witness, triple.presentation(), canonical.presentation(), "classification")
+    return SklyaninClass(kind, alpha, pair, witness, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +431,8 @@ def coefficient_recursion(field, alpha, gamma, kmax: int):
     (the finite-basis branch, entered at k+1), RANK_ANOMALY when the system
     has full rank, which cannot arise from an actual parameter chain.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax {kmax} is negative")
     if not (alpha or gamma):
         raise PreconditionViolatedError("(alpha, gamma) = (0, 0)")
     one = field.one
@@ -534,35 +535,17 @@ def _pair_subs(field):
 
 
 def _orbit_edges(field, a, b):
-    """BFS closure of (a, b) under the two generating maps, as a dict from
-    each member to (parent, index of the map reaching it); the start maps to
-    None.  `_orbit_witness` composes the substitution for one member."""
+    """The walk's edges over the orbit of (a, b) under the two pair maps:
+    member -> (parent, map index), the start -> None.  `_path_witness` with
+    `_pair_subs` composes the substitution for one member."""
     if not in_m_set(field, a, b):
         raise PreconditionViolatedError("(a, b) outside the admissible set")
-    maps = _pair_maps(field)
-    start = (a, b)
-    edges = {start: None}
-    frontier = deque([start])
-    while frontier:
-        pair = frontier.popleft()
-        for index, fn in enumerate(maps):
-            nxt = fn(pair)
-            if nxt in edges:
-                continue
-            if not in_m_set(field, *nxt):
-                raise AssertionError(f"orbit left the admissible set at {nxt}")
-            edges[nxt] = (pair, index)
-            frontier.append(nxt)
-            if len(edges) > 24:
-                raise AssertionError("orbit exceeded 24 points")
+    for edges, _, pair in _walk((a, b), _pair_maps(field)):
+        if not in_m_set(field, *pair):
+            raise AssertionError(f"orbit left the admissible set at {pair}")
+        if len(edges) > 24:
+            raise AssertionError("orbit exceeded 24 points")
     return edges
-
-
-def _orbit_witness(field, edges, pair):
-    """Substitution transporting Q^{a,b,1} (the root of `edges`) onto the
-    presentation of the orbit member `pair`."""
-    subs = _pair_subs(field)
-    return _compose_moves(field, [subs[i] for i in _path_labels(edges, pair)])
 
 
 def iso_group_orbit(field, a, b):
@@ -597,13 +580,21 @@ class GroupInvariants:
     matches_sl2_f3: bool
 
 
-def _projective_order(m, identity, field, cap=50):
-    acc = m
-    for k in range(1, cap + 1):
-        if _proj_normalize(acc, field) == identity:
-            return k
-        acc = tuple(tuple(row) for row in mat_mul(acc, m, field))
-    raise AssertionError("element order exceeds cap")
+def _group_profile(elements, gens, mul, identity):
+    """(order, centre order, element-order counts) of the finite group
+    `elements` under `mul`; the centre is what commutes with every one of
+    `gens`, which generate the group."""
+
+    def order(m):
+        acc = m
+        for k in range(1, len(elements) + 1):
+            if acc == identity:
+                return k
+            acc = mul(acc, m)
+        raise AssertionError("element order exceeds the group order")
+
+    centre = [m for m in elements if all(mul(m, g) == mul(g, m) for g in gens)]
+    return len(elements), len(centre), Counter(order(m) for m in elements)
 
 
 def group_invariants() -> GroupInvariants:
@@ -619,26 +610,12 @@ def group_invariants() -> GroupInvariants:
     gens = [_proj_normalize(g, field) for g in (g1, g2)]
     identity = _proj_normalize(((one, zero, zero), (zero, one, zero), (zero, zero, one)), field)
 
-    elements = {identity}
-    frontier = deque([identity])
-    while frontier:
-        m = frontier.popleft()
-        for g in gens:
-            nxt = _proj_normalize(tuple(tuple(r) for r in mat_mul(m, g, field)), field)
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
+    def mul(m, n):
+        return _proj_normalize(mat_mul(m, n, field), field)
 
-    orders = Counter(_projective_order(m, identity, field) for m in elements)
-    center = [
-        m
-        for m in elements
-        if all(
-            _proj_normalize(tuple(map(tuple, mat_mul(m, g, field))), field)
-            == _proj_normalize(tuple(map(tuple, mat_mul(g, m, field))), field)
-            for g in gens
-        )
-    ]
+    moves = [lambda m, g=g: mul(m, g) for g in gens]
+    elements = [m for _, _, m in _walk(identity, moves)]
+    order, center_order, orders = _group_profile(elements, gens, mul, identity)
 
     sl2 = []
     for entries in itertools.product(range(3), repeat=4):
@@ -658,33 +635,16 @@ def group_invariants() -> GroupInvariants:
             ),
         )
 
-    id2 = ((1, 0), (0, 1))
-
-    def order2(m):
-        acc = m
-        for k in range(1, 50):
-            if acc == id2:
-                return k
-            acc = mul2(acc, m)
-        raise AssertionError("unreachable")
-
-    sl2_orders = Counter(order2(m) for m in sl2)
-    sl2_center = [m for m in sl2 if all(mul2(m, n) == mul2(n, m) for n in sl2)]
-
-    inv = GroupInvariants(
-        order=len(elements),
-        center_order=len(center),
+    sl2_profile = _group_profile(sl2, sl2, mul2, ((1, 0), (0, 1)))
+    return GroupInvariants(
+        order=order,
+        center_order=center_order,
         element_orders=dict(sorted(orders.items())),
-        sl2_f3_order=len(sl2),
-        sl2_f3_center_order=len(sl2_center),
-        sl2_f3_element_orders=dict(sorted(sl2_orders.items())),
-        matches_sl2_f3=(
-            len(elements) == len(sl2)
-            and len(center) == len(sl2_center)
-            and dict(orders) == dict(sl2_orders)
-        ),
+        sl2_f3_order=sl2_profile[0],
+        sl2_f3_center_order=sl2_profile[1],
+        sl2_f3_element_orders=dict(sorted(sl2_profile[2].items())),
+        matches_sl2_f3=(order, center_order, orders) == sl2_profile,
     )
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -702,46 +662,33 @@ def are_isomorphic(t1: ParamTriple, t2: ParamTriple) -> IsoDecision:
     """Decide graded isomorphism of two Sklyanin algebras over the same field
     and, when they are isomorphic, return a verified substitution witness.
 
-    For two generic triples the witness runs through the orbit of the first
-    normalized pair; only the breadth-first path to the second pair is
-    composed, and the result is transport-checked like every other witness."""
+    The witness c2⁻¹ ∘ middle ∘ c1 joins the two classification witnesses
+    through the identity, the x/y swap (reciprocal quantum parameters) or the
+    orbit path between two generic pairs, and is checked once, at the exit."""
     if t1.field != t2.field:
         raise PreconditionViolatedError("triples over different fields")
     f = t1.field
     c1, c2 = classify(t1), classify(t2)
     trace = f"{c1.kind.value} vs {c2.kind.value}"
-
-    degenerate_kinds = {SklyaninKind.FREE_ALGEBRA, SklyaninKind.MONO_XY, SklyaninKind.MONO_XX}
-    if c1.kind in degenerate_kinds or c2.kind in degenerate_kinds:
-        if c1.kind != c2.kind:
-            return IsoDecision(False, trace)
-        witness = c2.witness.inverse().compose(c1.witness)
-        return IsoDecision(True, f"both {c1.kind.value}", _check_witness(witness, t1, t2))
-
     if c1.kind != c2.kind:
         return IsoDecision(False, trace)
 
     if c1.kind is SklyaninKind.QUANTUM_POLY:
-        al, be = c1.alpha, c2.alpha
-        if al == be:
-            witness = c2.witness.inverse().compose(c1.witness)
-            return IsoDecision(True, f"quantum parameters equal ({trace})", _check_witness(witness, t1, t2))
-        if al * be == f.one:
-            swap = _swap_xy_sub(f)
-            witness = c2.witness.inverse().compose(swap).compose(c1.witness)
-            return IsoDecision(True, f"quantum parameters reciprocal ({trace})", _check_witness(witness, t1, t2))
-        return IsoDecision(False, "quantum parameters neither equal nor reciprocal")
-
-    pair1, pair2 = c1.pair, c2.pair
-    orbit = _orbit_edges(f, *pair1)
-    if pair2 in orbit:
-        witness = c2.witness.inverse().compose(_orbit_witness(f, orbit, pair2)).compose(c1.witness)
-        return IsoDecision(True, "normalized pairs lie in one orbit", _check_witness(witness, t1, t2))
-    return IsoDecision(False, "normalized pairs lie in different orbits")
-
-
-def _check_witness(sub, t1, t2):
-    return _verified(sub, t1.presentation(), t2.presentation(), "isomorphism witness")
+        if c1.alpha == c2.alpha:
+            middle, reason = LinearSub.identity(f, 3), f"quantum parameters equal ({trace})"
+        elif c1.alpha * c2.alpha == f.one:
+            middle, reason = _swap_xy_sub(f), f"quantum parameters reciprocal ({trace})"
+        else:
+            return IsoDecision(False, "quantum parameters neither equal nor reciprocal")
+    elif c1.kind is SklyaninKind.GENERIC_M1:
+        orbit = _orbit_edges(f, *c1.pair)
+        if c2.pair not in orbit:
+            return IsoDecision(False, "normalized pairs lie in different orbits")
+        middle, reason = _path_witness(f, orbit, c2.pair, _pair_subs(f)), "normalized pairs lie in one orbit"
+    else:
+        middle, reason = LinearSub.identity(f, 3), f"both {c1.kind.value}"
+    witness = c2.witness.inverse().compose(middle).compose(c1.witness)
+    return IsoDecision(True, reason, _verified(witness, t1.presentation(), t2.presentation(), "isomorphism"))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,47 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gb", "presentations/w.alg", "--deg", "abc"),
+        ("oracle", "presentations/w.alg", "--deg", "2.5"),
+        ("sklyanin", "recursion", "0", "1", "--field", "Q", "--kmax", "x"),
+        ("sklyanin", "classify", "1", "2", "3", "4", "5"),
+        ("sklyanin", "iso", "1", "2", "1", "2", "1", "1", "7"),
+        ("sklyanin", "orbit", "2", "3", "--kmax", "5"),
+        ("oracle", "presentations/w.alg", "--deg", "2", "extra"),
+        ("dual", "presentations/w.alg", "presentations/free.alg"),
+        ("gb",),
+        ("sklyanin", "classify", "1/0", "1", "1"),
+        ("sklyanin", "orbit", "1+1/0*w", "2"),
+    ],
+)
+def test_argument_errors_exit_2(capsys, argv):
+    argv = [str(CORPUS.parent / a) if a.startswith("presentations/") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_zero_denominator_in_file_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("field Q\ngens x y\nrel x*y - 1/0*y*x\n")
+    code, out, err = run(capsys, "gb", str(bad))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ParseError"
+    assert error["detail"].startswith("line 3: ")
+
+
+def test_negative_kmax_exit_code(capsys):
+    code, out, err = run(capsys, "sklyanin", "recursion", "0", "1", "--field", "Q", "--kmax", "-3")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "hilbert", "no_such_file.alg")
     assert code == 2

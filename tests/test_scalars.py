@@ -173,6 +173,12 @@ def test_theta_literals():
         QQ.parse("0.5")
 
 
+def test_zero_denominator_is_a_parse_error():
+    for field, text in ((QQ, "1/0"), (QQ, "-3/0"), (QQ_THETA, "1/0"), (QQ_THETA, "1+1/0*w"), (QQ_THETA, "1/0-w")):
+        with pytest.raises(ParseError):
+            field.parse(text)
+
+
 def test_parse_field_names():
     assert parse_field("Q") is QQ
     assert parse_field("Q(w)") is QQ_THETA

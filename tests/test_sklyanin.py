@@ -9,13 +9,13 @@ import pytest
 
 from ncquad import GF, QQ, QQ_THETA, NoCubeRootError, PreconditionViolatedError, ThetaRational
 from ncquad.groebner import complete, graded_dim_oracle, hilbert_coeffs, normal_words
-from ncquad.linalg import row_space_equal
+from ncquad.linalg import row_space_equal, rref
 from ncquad.ncpoly import LinearSub, apply_sub, degree_lex
 from ncquad.sklyanin import (
     _orbit_edges,
-    _orbit_witness,
     _pair_maps,
     _pair_subs,
+    _path_witness,
     ChainResult,
     IsoDecision,
     ParamTriple,
@@ -209,8 +209,6 @@ def test_chain_transport_and_leads():
             continue
         res = substitution_chain(f, a, b)
         moved = transported(res.composed, sklyanin_presentation(f, a, b, f.one))
-        from ncquad.linalg import rref
-
         _, pivots = rref([[m.coeff(w) for w in WORDS2] for m in moved], f)
         assert [WORDS2[c] for c in pivots] == [(X, X), (X, Y), (Y, Z)]
         assert spans_equal(moved, staircase_relations(f, res.alpha, res.gamma), f)
@@ -243,6 +241,12 @@ def test_recursion_sigma_immediately():
 def test_recursion_rejects_zero_parameters():
     with pytest.raises(PreconditionViolatedError):
         coefficient_recursion(QQ, QQ.zero, QQ.zero, 5)
+
+
+def test_recursion_rejects_negative_kmax():
+    with pytest.raises(ValueError):
+        coefficient_recursion(QQ, QQ.zero, QQ.one, -2)
+    assert len(coefficient_recursion(GF(31), GF(31).from_int(4), GF(31).from_int(4), 0)) == 1
 
 
 def test_recursion_generic_continues():
@@ -487,7 +491,7 @@ def test_orbit_path_witnesses_transport(field):
         assert list(edges) == list(eager)
         source = ParamTriple(field, a, b, field.one)
         for pair in edges:
-            witness = _orbit_witness(field, edges, pair)
+            witness = _path_witness(field, edges, pair, _pair_subs(field))
             assert witness.matrix == eager[pair].matrix
             check_witness(witness, source, ParamTriple(field, *pair, field.one))
 
@@ -509,6 +513,166 @@ def test_are_isomorphic_witness_matches_eager_reference(field):
             reference = c2.witness.inverse().compose(eager[(u, v)]).compose(c1.witness)
             assert dec.isomorphic
             assert dec.witness.matrix == reference.matrix
+
+
+def reference_signature(triple):
+    rows = [[rel.coeff(w) for w in WORDS2] for rel in triple.presentation().relations]
+    reduced, pivots = rref(rows, triple.field)
+    return tuple(pivots), tuple(tuple(row) for row in reduced)
+
+
+def reference_swap(field):
+    one, zero = field.one, field.zero
+    return LinearSub.from_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+
+
+def reference_root_moves(triple, t):
+    f = triple.field
+    p, q, r = triple.p, triple.q, triple.r
+    one, zero = f.one, f.zero
+    t2 = t * t
+    root1 = LinearSub.from_columns(f, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]])
+    root2 = LinearSub.from_columns(f, [[one, one, one], [one, t, t2], [one, t2, t]])
+    return (
+        (ParamTriple(f, p, q, t * r), root1),
+        (ParamTriple(f, t2 * p + t * q + r, t * p + t2 * q + r, p + q + r), root2),
+    )
+
+
+def reference_iso_moves(triple):
+    """(image, substitution) for each elementary move, built at every node."""
+    f = triple.field
+    th = f.theta()
+    return [
+        *reference_root_moves(triple, th),
+        *reference_root_moves(triple, th * th),
+        (ParamTriple(f, triple.q, triple.p, triple.r), reference_swap(f)),
+    ]
+
+
+def reference_search_witness(source, target):
+    """Breadth-first search over the moves, keyed by relation-space
+    signatures, composing the substitutions along the path found."""
+    f = source.field
+    target_sig = reference_signature(target)
+    start_sig = reference_signature(source)
+    if start_sig == target_sig:
+        return LinearSub.identity(f, 3)
+    edges = {start_sig: None}
+    frontier = deque([(source, start_sig)])
+    while frontier:
+        triple, parent = frontier.popleft()
+        for nxt, step in reference_iso_moves(triple):
+            sig = reference_signature(nxt)
+            if sig in edges:
+                continue
+            edges[sig] = (parent, step)
+            if sig == target_sig:
+                steps = []
+                while edges[sig] is not None:
+                    sig, step = edges[sig]
+                    steps.append(step)
+                acc = LinearSub.identity(f, 3)
+                for step in reversed(steps):
+                    acc = step.compose(acc)
+                return acc
+            frontier.append((nxt, sig))
+    raise AssertionError("no witness found")
+
+
+def reference_class_witness(triple):
+    c = classify(triple)
+    if c.kind in (SklyaninKind.FREE_ALGEBRA, SklyaninKind.GENERIC_M1):
+        return LinearSub.identity(triple.field, 3)
+    return reference_search_witness(triple, c.canonical)
+
+
+def reference_iso_witness(t1, t2):
+    f = t1.field
+    c1, c2 = classify(t1), classify(t2)
+    out = reference_class_witness(t2).inverse()
+    if c1.kind is SklyaninKind.GENERIC_M1:
+        out = out.compose(eager_orbit_witnesses(f, *c1.pair)[c2.pair])
+    elif c1.kind is SklyaninKind.QUANTUM_POLY and c1.alpha != c2.alpha:
+        out = out.compose(reference_swap(f))
+    return out.compose(reference_class_witness(t1))
+
+
+def nonzero_scalar(field, rng):
+    v = field.zero
+    while not v:
+        v = random_scalar(field, rng)
+    return v
+
+
+def seeded_triples_by_kind(field, rng, per_shape=3):
+    """Seeded triples from shapes that between them reach all five kinds,
+    grouped by kind."""
+    th, zero = field.theta(), field.zero
+
+    def equal_cubes():
+        lam = nonzero_scalar(field, rng)
+        return tuple(lam * th ** rng.randrange(3) for _ in range(3))
+
+    def sum_cube():
+        # (p + q)^3 + r^3 = 0 with r != 0: quantum unless degenerate
+        p, q = nonzero_scalar(field, rng), nonzero_scalar(field, rng)
+        return (p, q, -(p + q) * th ** rng.randrange(3))
+
+    shapes = [
+        lambda: tuple(random_scalar(field, rng) for _ in range(3)),
+        lambda: (nonzero_scalar(field, rng), nonzero_scalar(field, rng), zero),
+        sum_cube,
+        equal_cubes,
+        lambda: tuple(rng.sample([nonzero_scalar(field, rng), zero, zero], 3)),
+        lambda: (zero, zero, zero),
+    ]
+    by_kind = {kind: [] for kind in SklyaninKind}
+    for shape in shapes:
+        for _ in range(per_shape):
+            t = ParamTriple(field, *shape())
+            by_kind[classify(t).kind].append(t)
+    assert all(by_kind.values())
+    return by_kind
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=ORBIT_FIELD_IDS)
+def test_classify_witness_matches_reference_search(field):
+    by_kind = seeded_triples_by_kind(field, random.Random(29))
+    # already canonical: the search's start is its target
+    triples = [t for ts in by_kind.values() for t in ts] + [ParamTriple.make(field, 0, 0, 1)]
+    for t in triples:
+        c = classify(t)
+        assert c.witness.matrix == reference_class_witness(t).matrix
+        check_witness(c.witness, t, c.canonical)
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=ORBIT_FIELD_IDS)
+def test_are_isomorphic_witness_matches_reference(field):
+    rng = random.Random(31)
+    by_kind = seeded_triples_by_kind(field, rng)
+    pairs = []
+    for kind in (SklyaninKind.FREE_ALGEBRA, SklyaninKind.MONO_XY, SklyaninKind.MONO_XX):
+        ts = by_kind[kind] + [classify(by_kind[kind][0]).canonical]
+        pairs += list(zip(ts, ts[1:]))
+    for t in by_kind[SklyaninKind.QUANTUM_POLY]:
+        alpha = classify(t).alpha
+        lam = nonzero_scalar(field, rng)
+        pairs.append((t, ParamTriple(field, lam, -lam * alpha, field.zero)))
+        pairs.append((t, ParamTriple(field, lam, -lam / alpha, field.zero)))
+    for t in by_kind[SklyaninKind.GENERIC_M1]:
+        image = t
+        for _ in range(3):
+            image = rng.choice(reference_iso_moves(image))[0]
+        pairs.append((t, image))
+    reasons = set()
+    for t1, t2 in pairs:
+        dec = are_isomorphic(t1, t2)
+        assert dec.isomorphic, (t1, t2)
+        assert dec.witness.matrix == reference_iso_witness(t1, t2).matrix
+        reasons.add(dec.reason.split(" (")[0])
+    assert {"quantum parameters equal", "quantum parameters reciprocal"} <= reasons
+    assert "normalized pairs lie in one orbit" in reasons
 
 
 def test_degenerate_never_isomorphic_to_nondegenerate():
