@@ -6,9 +6,11 @@ The completion is degree-graded: the relations and all overlap obstructions
 of degree d are resolved before degree d+1, so the truncated basis coincides
 with the degree-<=D part of the unique reduced basis and the output is
 canonical -- independent of the order the defining relations were given in
-and of the redex the reduction kernel picks.  Completion of a
-noncommutative ideal need not terminate; `degree_bound` records how far the
-result is certified.
+and of the redex the reduction kernel picks.  An overlap whose word holds a
+lead strictly inside is resolved through two smaller ambiguities (Bergman's
+diamond lemma) and is skipped unreduced.  Completion of a noncommutative
+ideal need not terminate; `degree_bound` records how far the result is
+certified.
 """
 
 from __future__ import annotations
@@ -131,15 +133,17 @@ class GroebnerBasis:
 
 
 class DegreeStats(NamedTuple):
-    """What `complete` did at one degree: the overlap obstructions processed,
+    """What `complete` did at one degree: the overlap obstructions reduced,
     the relations and S-polynomials that reduced to zero, the reduction steps
-    (tail reductions included) and the elements added."""
+    (tail reductions included), the elements added, and the overlaps skipped
+    unreduced because a lead word lies strictly inside their word."""
 
     degree: int
     obstructions: int
     zero_reductions: int
     steps: int
     new_elements: int
+    redundant: int
 
 
 def _find_redex(word, by_lead, fits):
@@ -217,6 +221,12 @@ def normal_form(f: NcPoly, basis: GroebnerBasis) -> NcPoly:
     return basis.reduce(f)
 
 
+def _has_interior_lead(word, index):
+    """Some lead of the index occurs in `word` after its first letter and
+    before its last."""
+    return _find_redex(word[1:-1], index.by_lead, index.fits(len(word))) is not None
+
+
 def _proper_overlaps(w1, w2):
     """Overlap lengths k: a proper suffix of w1 of length k is a prefix of w2."""
     out = []
@@ -235,6 +245,14 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     against the basis, now complete through d.  Each degree therefore ends
     with the elements of the unique reduced basis, whatever the redex choice
     or the order in which the relations were given.
+
+    An overlap of leads i and j on the word w is skipped when a lead l occurs
+    in w after its first letter and before its last.  Then S(i, j) is the sum
+    of multiples of the ambiguities (i, l) and (l, j), and each of those has
+    a shorter word, resolved at an earlier degree, or disjoint occurrences.
+    So the skipped overlap is resolvable relative to the order (Bergman's
+    diamond lemma), and the reduced basis is the same as when every overlap
+    is reduced.
     """
     order = presentation.order
     field = presentation.field
@@ -266,7 +284,10 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
 
     stats = []
     for d in range(1, degree_bound + 1):
-        items = queue.pop(d, [])
+        # the index holds every lead below d, and no degree-d lead fits
+        # strictly inside a word of length d, so one check per degree suffices
+        queued = queue.pop(d, [])
+        items = [item for item in queued if not _has_interior_lead(item[0], index)]
         items.sort(key=lambda item: (order.key(item[0]), item[1], item[2], item[3]))
         spolys = (
             basis[i] * NcPoly.monomial(field, ngens, leads[j][k:])
@@ -300,7 +321,9 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
                 g = NcPoly.monomial(field, ngens, lead) + red
                 basis[m] = g
                 index.add(g)
-        stats.append(DegreeStats(d, len(items), zero, index.steps - steps_before, len(new_idx)))
+        stats.append(
+            DegreeStats(d, len(items), zero, index.steps - steps_before, len(new_idx), len(queued) - len(items))
+        )
 
     elements = sorted(
         basis, key=lambda g: (len(g.leading_word(order)), tuple(order.precedence[c] for c in g.leading_word(order)))

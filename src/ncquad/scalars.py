@@ -232,6 +232,10 @@ def _modp_class(p: int) -> type:
     return cls
 
 
+# primality is checked by trial division, at most 10^7 divisions below this
+_PRIME_LIMIT = 10**14
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -371,6 +375,8 @@ class PrimeField(Field):
     def __post_init__(self):
         if self.p == 3:
             raise CharThreeError("characteristic 3 is unsupported")
+        if self.p >= _PRIME_LIMIT:
+            raise ValueError(f"GF(p) needs p < 10^14 for its trial-division primality test, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 

@@ -173,6 +173,15 @@ def test_classify_over_large_prime_field(capsys):
     assert json.loads(out)["class"] == "GenericM1"
 
 
+def test_oversized_prime_field_exit_code(capsys):
+    code, out, err = run(capsys, "sklyanin", "classify", "1", "2", "5", "--field", f"GF({2**89 - 1})")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert "10^14" in error["detail"]
+
+
 def test_readme_commands_match_golden_output(capsys):
     # each README command-line example against its stored stdout, byte for byte
     golden = (Path(__file__).resolve().parent / "golden" / "readme_cli.txt").read_text()

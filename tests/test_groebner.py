@@ -439,6 +439,47 @@ def test_rightmost_redex_keeps_the_bases(monkeypatch):
     assert len(rightmost[-1].elements) > len(mixed.relations)
 
 
+def random_sparse_presentation(rng, field):
+    """A few sparse homogeneous relations of degree 2 and 3 in 2 or 3
+    generators, under a random generator order."""
+    n = rng.choice((2, 3))
+    rels = []
+    for deg in rng.choice([(2,), (2, 2), (2, 3), (3, 3), (2, 2, 3)]):
+        words = {tuple(rng.randrange(n) for _ in range(deg)) for _ in range(rng.randint(2, 4))}
+        f = NcPoly(field, n, {w: field.from_int(rng.randrange(1, 7)) for w in words})
+        if f:
+            rels.append(f)
+    return Presentation(field, n, tuple(rels), order=MonomialOrder(tuple(rng.sample(range(n), n))))
+
+
+def test_overlap_skip_keeps_the_bases(monkeypatch):
+    # an overlap holding a lead strictly inside is the sum of two smaller
+    # ambiguities (Bergman's diamond lemma), so skipping it cannot change
+    # the basis; the reference reduces every overlap
+    rng = random.Random(808)
+    cases = [(parse_presentation(path.read_text()), 10) for path in sorted(CORPUS.glob("*.alg"))]
+    cases += [(p, 8) for p in staircase_pairs(505)]
+    for field, D in ((GF(31), 10), (QQ, 8), (QQ_THETA, 7)):
+        for _ in range(2):
+            p, q, r = (field.from_int(rng.randint(-4, 4)) for _ in range(3))
+            cases.append((sklyanin_pres(field, p, q, r), D))
+    cases.append((sklyanin_pres(QQ_THETA, *map(ThetaRational, (1, 2, 5))), 8))
+    texts = ["x - z", "y*y*x - x*y*y + x*y*x", "y*x*y*x + x*x*y*y - y*y*y*x"]
+    rels = tuple(parse_poly(t, QQ, NAMES) for t in texts)
+    cases.append((Presentation(QQ, 3, rels, order=MonomialOrder((1, 2, 0))), 9))
+    for k in range(40):
+        cases.append((random_sparse_presentation(rng, (GF(7), GF(31), QQ, QQ_THETA)[k % 4]), 7))
+    skipping = [complete(p, D) for p, D in cases]
+    monkeypatch.setattr(groebner, "_has_interior_lead", lambda word, index: False)
+    every = [complete(p, D) for p, D in cases]
+    for (p, D), new, old in zip(cases, skipping, every):
+        assert list(new.elements) == list(old.elements), p
+        assert hilbert_coeffs(new, D) == hilbert_coeffs(old, D), p
+        assert [s.obstructions + s.redundant for s in new.stats] == [s.obstructions for s in old.stats], p
+        assert all(s.redundant == 0 for s in old.stats)
+    assert sum(s.redundant for g in skipping for s in g.stats) > 0
+
+
 def test_completion_stats(monkeypatch):
     p = staircase_pairs(505)[0]
     g = complete(p, 8)
@@ -446,6 +487,11 @@ def test_completion_stats(monkeypatch):
     for s in g.stats:
         relations = sum(r.degree() == s.degree for r in p.relations)
         assert s.obstructions + relations == s.zero_reductions + s.new_elements
+    # the staircase leads xx, xy, yz, xz^kx, xz^ky never lie strictly
+    # inside an overlap, so every overlap is reduced
+    assert all(s.redundant == 0 for s in g.stats)
+    qw = complete(sklyanin_pres(QQ_THETA, *map(ThetaRational, (1, 2, 5))), 8)
+    assert sum(s.redundant for s in qw.stats) > 0
     assert len(g.elements) == sum(s.new_elements for s in g.stats)
     steps = sum(s.steps for s in g.stats)
     monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)

@@ -18,6 +18,7 @@ from ncquad import (
     parse_field,
     primitive_cube_root,
 )
+from ncquad import scalars
 
 
 def brute_force_inverse(v, p):
@@ -115,6 +116,21 @@ def test_char_three_rejected():
         GF(3)
     with pytest.raises(ValueError):
         GF(10)
+
+
+def test_prime_field_size_is_bounded(monkeypatch):
+    assert GF(2147483647).p == 2**31 - 1
+    assert GF(1000000000039).theta() ** 3 == 1
+
+    def no_division(n):
+        raise AssertionError("trial division started")
+
+    # 2^89 - 1 is prime, but trial division would take 2^44 steps: it is
+    # refused before any division, with the limit in the message
+    monkeypatch.setattr(scalars, "_is_prime", no_division)
+    for p in (2**89 - 1, 10**14):
+        with pytest.raises(ValueError, match=r"10\^14"):
+            GF(p)
 
 
 def test_division_by_zero():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ncquad import GF, QQ, QQ_THETA, NoCubeRootError, PreconditionViolatedError, ThetaRational
+from ncquad import sklyanin
 from ncquad.groebner import complete, graded_dim_oracle, hilbert_coeffs, normal_words
 from ncquad.linalg import row_space_equal, rref
 from ncquad.ncpoly import LinearSub, apply_sub, degree_lex
@@ -16,6 +17,7 @@ from ncquad.sklyanin import (
     _pair_maps,
     _pair_subs,
     _path_witness,
+    _verified,
     ChainResult,
     IsoDecision,
     ParamTriple,
@@ -673,6 +675,30 @@ def test_are_isomorphic_witness_matches_reference(field):
         reasons.add(dec.reason.split(" (")[0])
     assert {"quantum parameters equal", "quantum parameters reciprocal"} <= reasons
     assert "normalized pairs lie in one orbit" in reasons
+
+
+@pytest.mark.parametrize("field", [QQ_THETA, GF(31)])
+def test_identity_witness_still_checks_the_span(field, monkeypatch):
+    # the identity is checked on the source rows as they are, without
+    # transporting them, but the row spaces are still compared
+    calls = []
+
+    def counting_apply_sub(rel, sub):
+        calls.append(sub)
+        return apply_sub(rel, sub)
+
+    monkeypatch.setattr(sklyanin, "apply_sub", counting_apply_sub)
+    one, two, three, five = (field.from_int(c) for c in (1, 2, 3, 5))
+    source = sklyanin_presentation(field, one, two, five)
+    other = sklyanin_presentation(field, one, three, five)
+    identity = LinearSub.identity(field, 3)
+    assert _verified(identity, source, source, "identity") is identity
+    with pytest.raises(AssertionError):
+        _verified(identity, source, other, "identity")
+    assert calls == []
+    with pytest.raises(AssertionError):
+        _verified(sklyanin._swap_xy_sub(field), source, source, "swap")
+    assert len(calls) == len(source.relations)
 
 
 def test_degenerate_never_isomorphic_to_nondegenerate():
