@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .errors import HomogeneityError, IncompleteBasisError, MixedFieldsError
 from .linalg import SparseEchelon
 from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex
+from .scalars import _ModPBase
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,10 @@ class LeadIndex:
 
     `steps` counts the reduction steps taken through the index.  `tails`
     holds, per lead, the element's other terms with negated coefficients and
-    precedence keys; an entry is built the first time a reduction rewrites
-    with that element, so an index that never reduces holds none.
+    precedence keys; over GF(p) a negated coefficient is the int residue
+    p - v, not a field element.  An entry is built the first time a
+    reduction rewrites with that element, so an index that never reduces
+    holds none.
     """
 
     def __init__(self, order, elements=()):
@@ -123,8 +126,11 @@ class GroebnerBasis:
         return tuple(g.leading_word(self.order) for g in self.elements)
 
     def reduce(self, f: NcPoly) -> NcPoly:
-        """Normal form of f; f may not exceed the certified degree, since
-        above it the basis is incomplete and the remainder not unique."""
+        """Normal form of f; f must lie over the basis's field, and may not
+        exceed the certified degree, since above it the basis is incomplete
+        and the remainder not unique."""
+        if f.field != self.field:
+            raise MixedFieldsError(f"reduction of a {f.field.name()} polynomial by a {self.field.name()} basis")
         if f and f.degree() > self.degree_bound:
             raise IncompleteBasisError(
                 f"reduction of a degree-{f.degree()} polynomial, basis certified to {self.degree_bound}"
@@ -172,20 +178,34 @@ def _normal_form_terms(terms, index):
     about a third of the steps of the leftmost choice on the staircase
     completions.  A new word's heap key is spliced from the popped word's
     key and the tail term's precomputed key.
+
+    Over GF(p), told by the coefficients' type, the kernel works on plain
+    ints: a step adds c * (p - v) to a word with no reduction, and the sum
+    is reduced mod p once, when the word is popped (delayed reduction, as
+    in Monagan and Pearce's heap division); field elements are built only
+    for the output.  For every field a word whose coefficient sums to zero
+    is skipped at the pop.  Such a word is never rewritten, so the steps
+    are the same as with a zero test at every sum.
     """
+    if not terms:
+        return {}
+    ctype = type(next(iter(terms.values())))
+    p = ctype.p if issubclass(ctype, _ModPBase) else 0
     by_lead = index.by_lead
     tails = index.tails
     prec = index.order.precedence
-    fits = index.fits(max(map(len, terms), default=0))
+    fits = index.fits(max(map(len, terms)))
     out = {}
-    work = dict(terms)
+    work = {w: c.v for w, c in terms.items()} if p else dict(terms)
     heap = [(-len(w), tuple([prec[g] for g in w]), w) for w in work]
     heapq.heapify(heap)
     steps = 0
     while heap:
         _, key, w = heapq.heappop(heap)
-        c = work.pop(w, None)
-        if c is None:
+        c = work.pop(w)
+        if p:
+            c %= p
+        if not c:
             continue
         hit = _find_redex(w, by_lead, fits)
         if hit is None:
@@ -196,7 +216,9 @@ def _normal_form_terms(terms, index):
         tail = tails.get(lead)
         if tail is None:
             terms_g = by_lead[lead].terms.items()
-            tail = tails[lead] = [(t, -ct, tuple([prec[x] for x in t])) for t, ct in terms_g if t != lead]
+            tail = tails[lead] = [
+                (t, p - ct.v if p else -ct, tuple([prec[x] for x in t])) for t, ct in terms_g if t != lead
+            ]
         j = i + len(lead)
         left, right = w[:i], w[j:]
         key_left, key_right = key[:i], key[j:]
@@ -207,12 +229,10 @@ def _normal_form_terms(terms, index):
                 heapq.heappush(heap, (-len(u), key_left + key_t + key_right, u))
                 work[u] = c * nct
             else:
-                nv = acc + c * nct
-                if nv:
-                    work[u] = nv
-                else:
-                    del work[u]
+                work[u] = acc + c * nct
     index.steps += steps
+    if p:
+        return {w: ctype(c) for w, c in out.items()}
     return out
 
 

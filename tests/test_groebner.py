@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncquad import GF, QQ, QQ_THETA, IncompleteBasisError
+from ncquad import GF, QQ, QQ_THETA, IncompleteBasisError, MixedFieldsError
 from ncquad import groebner
 from ncquad.cli import parse_presentation
 from ncquad.groebner import (
@@ -483,7 +483,19 @@ def test_overlap_skip_keeps_the_bases(monkeypatch):
 def test_completion_stats(monkeypatch):
     p = staircase_pairs(505)[0]
     g = complete(p, 8)
-    assert [s.degree for s in g.stats] == list(range(1, 9))
+    # every field, steps included: a word whose coefficient sums to zero is
+    # never rewritten, so the counts do not depend on where the kernel tests
+    # for zero
+    assert [tuple(s) for s in g.stats] == [
+        (1, 0, 0, 0, 0, 0),
+        (2, 0, 0, 0, 3, 0),
+        (3, 3, 1, 13, 2, 0),
+        (4, 5, 3, 58, 2, 0),
+        (5, 7, 5, 256, 2, 0),
+        (6, 9, 7, 1206, 2, 0),
+        (7, 11, 9, 3854, 2, 0),
+        (8, 13, 11, 9692, 2, 0),
+    ]
     for s in g.stats:
         relations = sum(r.degree() == s.degree for r in p.relations)
         assert s.obstructions + relations == s.zero_reductions + s.new_elements
@@ -492,6 +504,16 @@ def test_completion_stats(monkeypatch):
     assert all(s.redundant == 0 for s in g.stats)
     qw = complete(sklyanin_pres(QQ_THETA, *map(ThetaRational, (1, 2, 5))), 8)
     assert sum(s.redundant for s in qw.stats) > 0
+    assert [tuple(s) for s in qw.stats] == [
+        (1, 0, 0, 0, 0, 0),
+        (2, 0, 0, 0, 3, 0),
+        (3, 3, 1, 12, 2, 0),
+        (4, 5, 3, 37, 2, 0),
+        (5, 8, 5, 127, 3, 0),
+        (6, 13, 10, 380, 3, 3),
+        (7, 15, 11, 596, 4, 6),
+        (8, 21, 17, 1355, 4, 11),
+    ]
     assert len(g.elements) == sum(s.new_elements for s in g.stats)
     steps = sum(s.steps for s in g.stats)
     monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
@@ -500,6 +522,60 @@ def test_completion_stats(monkeypatch):
     assert [s._replace(steps=0) for s in old.stats] == [s._replace(steps=0) for s in g.stats]
     assert steps < sum(s.steps for s in old.stats) / 2
     assert GroebnerBasis(p, g.elements, 8).stats == ()
+
+
+def test_lazy_residues_match_reference(monkeypatch):
+    # the kernel carries GF(p) coefficients as ints reduced once per word;
+    # the reference does field-object arithmetic at every step
+    rng = random.Random(909)
+    cases = [(p, 8) for p in staircase_pairs(505)]
+    for field in (GF(7), GF(31), GF(1000003)):
+        for _ in range(2):
+            p, q, r = (field.from_int(rng.randint(-4, 4)) for _ in range(3))
+            cases.append((sklyanin_pres(field, p, q, r), 8))
+    # GF(1000000000039): a product of two residues passes 64 bits
+    fields = (GF(7), GF(31), GF(1000003), GF(1000000000039))
+    for k in range(40):
+        cases.append((random_sparse_presentation(rng, fields[k % 4]), 7))
+    lazy = [complete(p, D) for p, D in cases]
+    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    reference = [complete(p, D) for p, D in cases]
+    for (p, D), new, old in zip(cases, lazy, reference):
+        assert list(new.elements) == list(old.elements), p
+        modulus, element_type = p.field.characteristic(), type(p.field.one)
+        for e in new.elements:
+            assert all(type(c) is element_type and 0 < c.v < modulus for c in e.terms.values()), e
+
+
+def test_contributions_summing_to_p_cancel():
+    # over GF(7), x*x and y*y rewrite to 3*y*z and 4*y*z: the residues sum
+    # to 7 in y*z, which then has a zero coefficient and is not rewritten
+    f7 = GF(7)
+    rels = tuple(parse_poly(t, f7, NAMES) for t in ("x*x + 4*y*z", "y*y + 3*y*z", "y*z - z*z"))
+    g = GroebnerBasis(Presentation(f7, 3, rels), rels, 2)
+    assert g.lead_words() == ((X, X), (Y, Y), (Y, Z))
+    assert normal_form(parse_poly("x*x + y*y", f7, NAMES), g) == NcPoly.zero(f7, 3)
+    assert g.index.steps == 2
+    rem = normal_form(parse_poly("x*x + y*y + y*z", f7, NAMES), g)
+    assert rem == NcPoly.monomial(f7, 3, (Z, Z)) and type(rem.terms[(Z, Z)]) is type(f7.one)
+    assert g.index.steps == 5
+
+
+def test_reduce_rejects_other_field():
+    f7, f31 = GF(7), GF(31)
+    bases = {field: complete(pres(W_RELATIONS, field), 4) for field in (f7, QQ)}
+    for basis_field, field in ((f7, f31), (f7, QQ), (QQ, QQ_THETA)):
+        g = bases[basis_field]
+        lead = g.lead_words()[0]
+        normal = normal_words(g, 2)[-1]
+        for word in (lead, normal):
+            f = NcPoly.monomial(field, 3, word)
+            with pytest.raises(MixedFieldsError):
+                g.reduce(f)
+            with pytest.raises(MixedFieldsError):
+                normal_form(f, g)
+        assert normal_form(NcPoly.monomial(basis_field, 3, normal), g) == NcPoly.monomial(basis_field, 3, normal)
+        assert normal_form(NcPoly.monomial(basis_field, 3, lead), g) != NcPoly.monomial(basis_field, 3, lead)
 
 
 def is_reduced(g):
