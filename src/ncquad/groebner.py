@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import HomogeneityError, IncompleteBasisError, MixedFieldsError
+from .errors import DimensionMismatchError, HomogeneityError, IncompleteBasisError, MixedFieldsError
 from .linalg import SparseEchelon
 from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex
 from .scalars import _ModPBase
@@ -46,6 +46,8 @@ class Presentation:
         for r in self.relations:
             if r.field != self.field:
                 raise MixedFieldsError("relation field differs from presentation field")
+            if r.ngens != self.ngens:
+                raise DimensionMismatchError(f"relation in {r.ngens} generators, presentation in {self.ngens}")
             if not r:
                 raise ValueError("zero relation")
             if not r.is_homogeneous():
@@ -126,11 +128,15 @@ class GroebnerBasis:
         return tuple(g.leading_word(self.order) for g in self.elements)
 
     def reduce(self, f: NcPoly) -> NcPoly:
-        """Normal form of f; f must lie over the basis's field, and may not
-        exceed the certified degree, since above it the basis is incomplete
-        and the remainder not unique."""
+        """Normal form of f; f must lie over the basis's field and generators,
+        and may not exceed the certified degree, since above it the basis is
+        incomplete and the remainder not unique."""
         if f.field != self.field:
             raise MixedFieldsError(f"reduction of a {f.field.name()} polynomial by a {self.field.name()} basis")
+        if f.ngens != self.presentation.ngens:
+            raise DimensionMismatchError(
+                f"reduction of a {f.ngens}-generator polynomial by a {self.presentation.ngens}-generator basis"
+            )
         if f and f.degree() > self.degree_bound:
             raise IncompleteBasisError(
                 f"reduction of a degree-{f.degree()} polynomial, basis certified to {self.degree_bound}"

@@ -7,9 +7,12 @@ Every witness substitution the layer returns is verified by transporting the
 relation space and comparing row spaces, so a wrong formula cannot survive
 silently; `classify` and `are_isomorphic` each check their witness once, at
 their single return.  One breadth-first walk (`_walk`) closes the triple moves
-for the witness search, the pair maps for the orbit and the generators for
-the group; it records the edge that first reached each point, and the
-substitutions of the moves are built only for a path that is composed.
+on rays for the witness search, the pair maps for the orbit and the
+generators for the group; it records the edge that first reached each point,
+and the substitutions of the moves are built only for a path that is composed.
+A ray is a triple divided by its first nonzero parameter: the three relations
+have pairwise disjoint supports, so two triples present the same relation
+space exactly when their rays are equal.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateDenominatorError, PreconditionViolatedError
 from .groebner import Presentation
-from .linalg import mat_mul, row_space_equal, rref
+from .linalg import mat_mul, rref
 from .ncpoly import LinearSub, NcPoly, apply_sub, degree_lex
 from .potential import relations_from_potential, sklyanin_potential, staircase_potential, sum_cube_potential
 from .scalars import QQ_THETA
@@ -53,27 +56,17 @@ class ParamTriple:
     def is_free(self):
         return not (self.p or self.q or self.r)
 
-    def _cubes_equal(self):
-        p3, q3, r3 = self.p**3, self.q**3, self.r**3
-        return p3 == q3 and q3 == r3
-
     def is_degenerate(self):
         p, q, r = self.p, self.q, self.r
         two_zero = not (p * q or p * r or q * r)
-        return two_zero or self._cubes_equal()
+        return two_zero or p**3 == q**3 == r**3
 
     def in_m0(self):
         return not self.is_degenerate()
 
     def in_m1(self):
-        p, q, r = self.p, self.q, self.r
-        return bool(
-            r
-            and (p or q)
-            and (p + q) ** 3 + r**3
-            and not self._cubes_equal()
-            and self.in_m0()
-        )
+        """r != 0 and the normalized pair (p/r, q/r) lies in the set M."""
+        return bool(self.r) and in_m_set(self.field, self.p / self.r, self.q / self.r)
 
     def in_m2(self):
         return self.in_m0() and not self.in_m1()
@@ -123,17 +116,12 @@ def _rows(relations):
     return [[rel.coeff(w) for w in _WORDS2] for rel in relations]
 
 
-def _span_signature(presentation):
-    reduced, pivots = rref(_rows(presentation.relations), presentation.field)
-    return tuple(pivots), tuple(tuple(row) for row in reduced)
-
-
 def _verified(sub, source, target, what):
     moved = source.relations
     # the identity moves no relation, so only the row spaces are compared
     if sub.matrix != LinearSub.identity(sub.field, sub.ngens).matrix:
         moved = [apply_sub(rel, sub) for rel in moved]
-    if not row_space_equal(_rows(moved), _rows(target.relations), source.field):
+    if rref(_rows(moved), source.field) != rref(_rows(target.relations), source.field):
         raise AssertionError(f"{what}: substitution does not transport the relation space")
     return sub
 
@@ -193,27 +181,25 @@ def _triple_subs(field):
     return subs
 
 
-def _walk(start, moves, key=lambda node: node):
-    """Breadth-first closure of `start` under `moves`, one node per key.
+def _walk(start, moves):
+    """Breadth-first closure of `start` under `moves`.
 
-    Yields (edges, key, node) each time a key is first reached, the start
-    first.  `edges` maps every key reached so far to (parent key, index of the
-    move reaching it), and the start's key to None; a caller that has what it
-    needs leaves the loop, and no further node is expanded."""
-    start_key = key(start)
-    edges = {start_key: None}
-    yield edges, start_key, start
-    frontier = deque([(start, start_key)])
+    Yields (edges, node) each time a node is first reached, the start first.
+    `edges` maps every node reached so far to (parent node, index of the move
+    reaching it), and the start to None; a caller that has what it needs
+    leaves the loop, and no further node is expanded."""
+    edges = {start: None}
+    yield edges, start
+    frontier = deque([start])
     while frontier:
-        node, parent = frontier.popleft()
+        parent = frontier.popleft()
         for index, move in enumerate(moves):
-            nxt = move(node)
-            nxt_key = key(nxt)
-            if nxt_key in edges:
+            node = move(parent)
+            if node in edges:
                 continue
-            edges[nxt_key] = (parent, index)
-            yield edges, nxt_key, nxt
-            frontier.append((nxt, nxt_key))
+            edges[node] = (parent, index)
+            yield edges, node
+            frontier.append(node)
 
 
 def _path_witness(field, edges, node, subs):
@@ -229,15 +215,26 @@ def _path_witness(field, edges, node, subs):
     return acc
 
 
+def _ray(triple: ParamTriple) -> ParamTriple:
+    """The triple divided by its first nonzero parameter; the free triple is
+    its own ray."""
+    if triple.is_free():
+        return triple
+    ((p, q, r),) = _proj_normalize(((triple.p, triple.q, triple.r),), triple.field)
+    return ParamTriple(triple.field, p, q, r)
+
+
 def _search_witness(source: ParamTriple, target: ParamTriple) -> LinearSub:
-    """Walk the triple moves from source, keyed by relation-space signatures,
-    and compose the moves along the path to target's signature.  The caller
-    verifies the result."""
+    """Walk the triple moves on rays from source's ray and compose the moves
+    along the path to target's ray.  The moves are linear, so the ray of a
+    move's output depends only on the ray of its input, and the walk has one
+    node per relation space.  The caller verifies the result."""
     f = source.field
-    target_sig = _span_signature(target.presentation())
-    for edges, sig, _ in _walk(source, _triple_maps(f), lambda t: _span_signature(t.presentation())):
-        if sig == target_sig:
-            return _path_witness(f, edges, sig, _triple_subs(f))
+    target_ray = _ray(target)
+    moves = [lambda t, move=move: _ray(move(t)) for move in _triple_maps(f)]
+    for edges, ray in _walk(_ray(source), moves):
+        if ray == target_ray:
+            return _path_witness(f, edges, ray, _triple_subs(f))
     raise AssertionError("no witness found; classification tables are inconsistent")
 
 
@@ -543,7 +540,7 @@ def _orbit_edges(field, a, b):
     `_pair_subs` composes the substitution for one member."""
     if not in_m_set(field, a, b):
         raise PreconditionViolatedError("(a, b) outside the admissible set")
-    for edges, _, pair in _walk((a, b), _pair_maps(field)):
+    for edges, pair in _walk((a, b), _pair_maps(field)):
         if not in_m_set(field, *pair):
             raise AssertionError(f"orbit left the admissible set at {pair}")
         if len(edges) > 24:
@@ -602,22 +599,17 @@ def _group_profile(elements, gens, mul, identity):
 
 def group_invariants() -> GroupInvariants:
     """Order, centre and element orders of the group generated by the two
-    pair maps, realized exactly as projective 3x3 matrices over Q(w), and the
-    same invariants of SL2(F3) by brute-force enumeration."""
+    pair maps, realized exactly by their witnesses as projective 3x3 matrices
+    over Q(w), and the same invariants of SL2(F3) by brute-force enumeration."""
     field = QQ_THETA
-    th = field.theta()
-    th2 = th * th
-    one, zero = field.one, field.zero
-    g1 = ((one, zero, zero), (zero, one, zero), (zero, zero, th))
-    g2 = ((th, th2, one), (th2, th, one), (one, one, one))
-    gens = [_proj_normalize(g, field) for g in (g1, g2)]
-    identity = _proj_normalize(((one, zero, zero), (zero, one, zero), (zero, zero, one)), field)
+    gens = [_proj_normalize(sub.matrix, field) for sub in _pair_subs(field)]
+    identity = LinearSub.identity(field, 3).matrix
 
     def mul(m, n):
         return _proj_normalize(mat_mul(m, n, field), field)
 
     moves = [lambda m, g=g: mul(m, g) for g in gens]
-    elements = [m for _, _, m in _walk(identity, moves)]
+    elements = [m for _, m in _walk(identity, moves)]
     order, center_order, orders = _group_profile(elements, gens, mul, identity)
 
     sl2 = []

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,6 +196,33 @@ def test_readme_commands_match_golden_output(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, command
         assert out == expected, command
+
+
+def test_main_exit_status_in_a_process():
+    # `main` passes run_command's status to sys.exit; run it as the module
+    repo = CORPUS.parent
+
+    def run_process(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ncquad.cli", *argv],
+            cwd=repo,
+            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    golden = (Path(__file__).resolve().parent / "golden" / "readme_cli.txt").read_text()
+    expected = golden.split("$ ncquad sklyanin classify 2 -1 -1\n", 1)[1].split("\n", 1)[0] + "\n"
+    done = run_process("sklyanin", "classify", "2", "-1", "-1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    for argv, status in (
+        (("sklyanin", "classify", "2", "-1", "-1", "--field", "Q"), 1),
+        (("gb", "presentations/w.alg", "--deg", "x"), 2),
+    ):
+        done = run_process(*argv)
+        assert (done.returncode, done.stdout) == (status, ""), argv
+        assert "error" in json.loads(done.stderr)
 
 
 def test_domain_error_exit_code(capsys):

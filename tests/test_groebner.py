@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncquad import GF, QQ, QQ_THETA, IncompleteBasisError, MixedFieldsError
+from ncquad import GF, QQ, QQ_THETA, DimensionMismatchError, IncompleteBasisError, MixedFieldsError
 from ncquad import groebner
 from ncquad.cli import parse_presentation
 from ncquad.groebner import (
@@ -576,6 +576,26 @@ def test_reduce_rejects_other_field():
                 normal_form(f, g)
         assert normal_form(NcPoly.monomial(basis_field, 3, normal), g) == NcPoly.monomial(basis_field, 3, normal)
         assert normal_form(NcPoly.monomial(basis_field, 3, lead), g) != NcPoly.monomial(basis_field, 3, lead)
+
+
+def test_reduce_rejects_other_generator_count():
+    g = complete(pres(W_RELATIONS), 4)
+    assert (X, X) in g.lead_words() and (Y, Y) in normal_words(g, 2)
+    # x*x has a redex in the three-generator basis, y*y has none
+    for ngens in (2, 4):
+        for word in ((X, X), (Y, Y)):
+            f = NcPoly.monomial(QQ, ngens, word)
+            with pytest.raises(DimensionMismatchError):
+                g.reduce(f)
+            with pytest.raises(DimensionMismatchError):
+                normal_form(f, g)
+
+
+def test_presentation_rejects_other_generator_count():
+    with pytest.raises(DimensionMismatchError):
+        Presentation(QQ, 3, (parse_poly("x*y + y*x", QQ, ("x", "y")),))
+    with pytest.raises(DimensionMismatchError):
+        Presentation(QQ, 2, (parse_poly("z*z + x*y", QQ, NAMES),))
 
 
 def is_reduced(g):

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -17,6 +17,7 @@ from ncquad.sklyanin import (
     _pair_maps,
     _pair_subs,
     _path_witness,
+    _ray,
     _verified,
     ChainResult,
     IsoDecision,
@@ -44,10 +45,12 @@ WORDS2 = sorted(((i, j) for i in range(3) for j in range(3)), key=ORD3.key, reve
 X, Y, Z = 0, 1, 2
 
 
+def relation_rows(polys):
+    return [[f.coeff(w) for w in WORDS2] for f in polys]
+
+
 def spans_equal(polys_a, polys_b, field):
-    ra = [[f.coeff(w) for w in WORDS2] for f in polys_a]
-    rb = [[f.coeff(w) for w in WORDS2] for f in polys_b]
-    return row_space_equal(ra, rb, field)
+    return row_space_equal(relation_rows(polys_a), relation_rows(polys_b), field)
 
 
 def transported(sub, presentation):
@@ -139,6 +142,72 @@ def test_classification_partition():
         else:
             assert t.in_m1() != t.in_m2()
         classify(t)  # must not raise
+
+
+def reference_in_m1(t):
+    """M1 stated on the triple itself rather than through the normalized pair."""
+    p, q, r = t.p, t.q, t.r
+    cubes_equal = p**3 == q**3 and q**3 == r**3
+    return bool(r and (p or q) and (p + q) ** 3 + r**3 and not cubes_equal and t.in_m0())
+
+
+def test_in_m1_matches_triple_conditions():
+    triples = []
+    for f in (GF(7), GF(13)):
+        residues = range(f.characteristic())
+        triples += [ParamTriple(f, *map(f.from_int, c)) for c in itertools.product(residues, repeat=3)]
+    rng = random.Random(131)
+    triples += [t for ts in seeded_triples_by_kind(QQ_THETA, rng, per_shape=6).values() for t in ts]
+    triples += [ParamTriple(QQ_THETA, *(random_scalar(QQ_THETA, rng) for _ in range(3))) for _ in range(100)]
+    seen = Counter()
+    for t in triples:
+        assert t.in_m1() == reference_in_m1(t), t
+        if t.is_degenerate():
+            assert not t.in_m1() and not t.in_m2()
+        else:
+            assert t.in_m1() != t.in_m2()
+        seen[t.is_degenerate(), t.in_m1()] += 1
+    assert len(seen) == 3
+
+
+def test_ray_lemma_exhaustive_gf7():
+    f = GF(7)
+    triples = [ParamTriple(f, *map(f.from_int, c)) for c in itertools.product(range(7), repeat=3)]
+    rows = {t: relation_rows(t.presentation().relations) for t in triples}
+    reps = {}
+    for t in triples:
+        reps.setdefault(_ray(t), t)
+    # the 57 points of the projective plane over GF(7), and the free triple
+    assert len(reps) == 58
+    # equal row spaces is an equivalence, so comparing each triple with one
+    # member of every ray decides it for every pair
+    for t in triples:
+        for ray, rep in reps.items():
+            assert (_ray(t) == ray) == row_space_equal(rows[t], rows[rep], f)
+
+
+def test_ray_lemma_seeded_qw():
+    f = QQ_THETA
+    rng = random.Random(71)
+    free = ParamTriple.make(f, 0, 0, 0)
+
+    def param():
+        return f.zero if rng.random() < 0.3 else nonzero_scalar(f, rng)
+
+    outcomes = Counter()
+    for i in range(200):
+        s = free if i == 0 else ParamTriple(f, param(), param(), param())
+        if i % 10 in (0, 1):
+            t = free
+        elif i % 2:
+            c = nonzero_scalar(f, rng)
+            t = ParamTriple(f, c * s.p, c * s.q, c * s.r)
+        else:
+            t = ParamTriple(f, param(), param(), param())
+        same = spans_equal(s.presentation().relations, t.presentation().relations, f)
+        assert (_ray(s) == _ray(t)) == same, (s, t)
+        outcomes[same] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
 
 
 def test_series_dichotomy_samples():
