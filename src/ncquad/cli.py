@@ -8,6 +8,8 @@ File grammar, line oriented, `#` starts a comment:
     rel <polynomial>               (zero or more)
     potential <polynomial>         (alternative to rel lines)
 
+Each directive but `rel` appears at most once.
+
 Commands print a single JSON object on stdout and exit 0; domain errors
 exit 1 and file/syntax errors exit 2, with `{"error": ...}` on stderr.
 """
@@ -56,6 +58,7 @@ def parse_presentation(text: str) -> Presentation:
     order = None
     relations = []
     potential_poly = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +66,11 @@ def parse_presentation(text: str) -> Presentation:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
+            # a second line would silently rename or re-field what came before
+            if head in ("field", "gens", "order", "potential"):
+                if head in seen:
+                    raise ParseError(f"repeated {head} line")
+                seen.add(head)
             if head == "field":
                 field = parse_field(rest)
             elif head == "gens":

@@ -55,9 +55,6 @@ class Presentation:
             if r.degree() < 1:
                 raise HomogeneityError("relations must have degree >= 1")
 
-    def max_degree(self):
-        return max((r.degree() for r in self.relations), default=0)
-
 
 class LeadIndex:
     """Elements keyed by leading word, with the lead lengths longest first.
@@ -270,7 +267,8 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     remainders join it; at the end of the degree their tails are reduced
     against the basis, now complete through d.  Each degree therefore ends
     with the elements of the unique reduced basis, whatever the redex choice
-    or the order in which the relations were given.
+    or the order in which the relations were given.  The ideal is
+    homogeneous, so relations above `degree_bound` do not enter.
 
     An overlap of leads i and j on the word w is skipped when a lead l occurs
     in w after its first letter and before its last.  Then S(i, j) is the sum
@@ -283,11 +281,8 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     order = presentation.order
     field = presentation.field
     ngens = presentation.ngens
-    maxrel = presentation.max_degree()
     if degree_bound < 0:
         raise ValueError(f"degree bound {degree_bound} is negative")
-    if presentation.relations and degree_bound < maxrel:
-        raise ValueError(f"degree bound {degree_bound} below relation degree {maxrel}")
 
     index = LeadIndex(order)
     basis = []

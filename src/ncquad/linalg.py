@@ -1,47 +1,42 @@
 """Exact linear algebra over the coefficient fields.
 
-Dense routines (RREF, rank, nullspace, inverse) work on lists of rows whose
-entries support field arithmetic; no pivot-size heuristics are needed over
-exact fields.  `SparseEchelon` is an incremental echelon form on sparse rows
-keyed by arbitrary hashable column labels.  The graded dimension oracle runs
+One elimination routine, `SparseEchelon`: an incremental echelon form on
+sparse rows keyed by arbitrary hashable column labels.  No pivot-size
+heuristics are needed over exact fields.  The graded dimension oracle runs
 one per degree: its rows have a handful of terms, but their remainders, and
 the multiplication tables read off them, can fill up to the whole degree.
 The annihilator checks run one per kernel, on rows of reduced products.
+`rref` runs one on the rows of a dense matrix, keyed by column index, and
+`rank`, `nullspace`, `mat_inverse` and `row_space_equal` are views of it;
+the tests keep a dense Gauss-Jordan loop as the reference.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DimensionMismatchError
 
 
 def rref(rows, field):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    # the pivot of an echelon row is its largest column under the key, so
+    # negated indices make it the leftmost nonzero column
+    ech = SparseEchelon(field, operator.neg)
+    for row in rows:
+        ech.add(dict(enumerate(row)))
+    pivots = sorted(ech.rows)
+    zero, one = field.zero, field.one
+    reduced = []
+    for piv in pivots:
+        # the stored rows are not back-substituted: reducing the tail clears
+        # every later pivot column, and no step brings in a column left of it
+        row = ech.reduce({c: v for c, v in ech.rows[piv].items() if c != piv})
+        row[piv] = one
+        reduced.append([row.get(c, zero) for c in range(ncols)])
+    return reduced, pivots
 
 
 def rank(rows, field):

@@ -57,6 +57,14 @@ def test_round_trip_render_parse():
         assert list(again.relations) == list(pres.relations)
 
 
+REPEATED_DIRECTIVES = [
+    ("field Q\ngens x y\nrel x*y - y*y\ngens y x\n", 4),
+    ("field Q\ngens x y\nrel x*y - y*y\nfield GF(7)\n", 4),
+    ("field Q\ngens x y\norder y > x\norder x > y\nrel x*y\n", 4),
+    ("field Q\ngens x y\npotential x*y*x\npotential y*y*y\n", 4),
+]
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_presentation("gens x y\nrel x*y\n")  # no field
@@ -68,12 +76,22 @@ def test_parse_errors():
         parse_presentation("field GF(3)\ngens x y\nrel x*y\n")
     with pytest.raises(ParseError):
         parse_presentation("field Q\ngens x y\nbogus x\n")
+    # a second field, gens, order or potential line is refused, not obeyed
+    for text, line in REPEATED_DIRECTIVES:
+        with pytest.raises(ParseError, match="repeated") as exc:
+            parse_presentation(text)
+        assert exc.value.line == line
 
 
 def test_hilbert_command(capsys):
     code, out, err = run(capsys, "hilbert", str(CORPUS / "sklyanin_1_2_1.alg"), "--deg", "5")
     assert code == 0
     assert json.loads(out) == {"hilbert": [1, 3, 6, 10, 15, 21]}
+    # a bound below the relation degree: completion and oracle agree
+    for cmd in ("hilbert", "oracle"):
+        code, out, err = run(capsys, cmd, str(CORPUS / "w.alg"), "--deg", "1")
+        assert code == 0
+        assert json.loads(out) == {cmd: [1, 3]}
 
 
 def test_hilbert_command_high_degree(capsys):
@@ -97,6 +115,9 @@ def test_koszul_command(capsys):
     payload = json.loads(out)
     assert payload["defect"] == 4
     assert payload["dual_hypotheses"]["dual3_dim"] == 1
+    code, out, err = run(capsys, "koszul", str(CORPUS / "w.alg"), "--deg", "1")
+    assert code == 0
+    assert json.loads(out)["defect"] is None
 
 
 def test_oracle_command(capsys):
@@ -233,10 +254,11 @@ def test_domain_error_exit_code(capsys):
 
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
-    bad.write_text("field Q\ngens x y\nrel x*q\n")
-    code, out, err = run(capsys, "gb", str(bad))
-    assert code == 2
-    assert "error" in json.loads(err)
+    for text in ["field Q\ngens x y\nrel x*q\n"] + [text for text, _ in REPEATED_DIRECTIVES]:
+        bad.write_text(text)
+        code, out, err = run(capsys, "gb", str(bad))
+        assert code == 2
+        assert "error" in json.loads(err)
 
 
 @pytest.mark.parametrize(

@@ -618,8 +618,14 @@ def test_mixed_degree_relations_complete_reduced():
     f7 = GF(7)
     texts = ["x*x + 5*z*z", "3*y*z*z*x + 3*z*x*x*y"]
     p = Presentation(f7, 3, tuple(parse_poly(t, f7, NAMES) for t in texts), order=MonomialOrder((2, 1, 0)))
+    leads = [(Z, Z), (Z, X, X), (Y, X, X, X)]
+    # below the quartic's degree the quartic does not enter
+    for D in (2, 3):
+        g = complete(p, D)
+        assert list(g.lead_words()) == leads[: D - 1]
+        assert hilbert_coeffs(g, D) == groebner._graded_dims(p, D)
     g = complete(p, 6)
-    assert list(g.lead_words()) == [(Z, Z), (Z, X, X), (Y, X, X, X)]
+    assert list(g.lead_words()) == leads
     assert hilbert_coeffs(g, 6) == groebner._graded_dims(p, 6) == [1, 3, 8, 21, 54, 138, 352]
     rng = random.Random(606)
     for _ in range(40):
