@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from ncquad import (
     QQ,
-    Potential,
     QuadraticAlgebra,
     dual_hypotheses,
     dual_algebra,

@@ -10,7 +10,6 @@ completion.
 
 from ncquad import (
     QQ_THETA,
-    RecursionOutcome,
     complete,
     expected_normal_words,
     normal_words,

@@ -19,12 +19,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import (
-    AlgebraError,
-    HomogeneityError,
-    ParseError,
-    UnknownGeneratorError,
-)
+from .errors import AlgebraError, ParseError, UnknownGeneratorError
 # graded_dim_oracle is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/tracing.py) wraps it at this import site
 from .groebner import (  # noqa: F401
@@ -35,7 +30,7 @@ from .groebner import (  # noqa: F401
     hilbert_coeffs,
 )
 from .ncpoly import parse_poly, render_poly, render_word, MonomialOrder
-from .potential import Potential, relations_from_potential
+from .potential import relations_from_potential
 from .quadratic import QuadraticAlgebra, dual_hypotheses, dual_algebra, koszul_defect, right_annihilator_dim
 from .scalars import parse_field
 from .sklyanin import (
@@ -57,7 +52,7 @@ def parse_presentation(text: str) -> Presentation:
     names = None
     order = None
     relations = []
-    potential_poly = None
+    potential_poly = potential_line = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,6 +90,7 @@ def parse_presentation(text: str) -> Presentation:
                 if field is None or names is None:
                     raise ParseError("potential line before field/gens lines")
                 potential_poly = parse_poly(rest, field, names)
+                potential_line = lineno
             else:
                 raise ParseError(f"unknown directive {head!r}")
         except UnknownGeneratorError as exc:
@@ -109,9 +105,9 @@ def parse_presentation(text: str) -> Presentation:
         if relations:
             raise ParseError("a file has either rel lines or a potential line")
         try:
-            relations = relations_from_potential(Potential(potential_poly))
+            relations = relations_from_potential(potential_poly)
         except ValueError as exc:
-            raise HomogeneityError(str(exc)) from None
+            raise ParseError(str(exc), line=potential_line) from None
     return Presentation(field, len(names), tuple(relations), order, names, potential_poly)
 
 

@@ -239,11 +239,6 @@ def _normal_form_terms(terms, index):
     return out
 
 
-def normal_form(f: NcPoly, basis: GroebnerBasis) -> NcPoly:
-    """Normal form of f modulo a GroebnerBasis."""
-    return basis.reduce(f)
-
-
 def _has_interior_lead(word, index):
     """Some lead of the index occurs in `word` after its first letter and
     before its last."""

@@ -32,10 +32,6 @@ class MonomialOrder:
         # ranks negated so that bigger key means bigger word
         return (len(word), tuple(-self.precedence[g] for g in word))
 
-    def compare(self, u, v):
-        ku, kv = self.key(u), self.key(v)
-        return (ku > kv) - (ku < kv)
-
     def gens_descending(self):
         return sorted(range(len(self.precedence)), key=lambda g: self.precedence[g])
 
@@ -43,11 +39,6 @@ class MonomialOrder:
 def degree_lex(ngens):
     """Default order: generator 0 > generator 1 > ... (x > y > z)."""
     return MonomialOrder(tuple(range(ngens)))
-
-
-def compare_words(u, v, order):
-    """-1, 0 or 1 as u is smaller than, equal to, or larger than v."""
-    return order.compare(u, v)
 
 
 class NcPoly:

@@ -48,7 +48,7 @@ class QuadraticAlgebra:
             field, presentation.ngens, relations, presentation.order, presentation.names
         )
         self.rdim = len(relations)
-        self._bases: dict[int, GroebnerBasis] = {}
+        self._basis: GroebnerBasis | None = None
 
     @property
     def field(self):
@@ -62,12 +62,11 @@ class QuadraticAlgebra:
         return [[r.coeff(w) for w in self._words] for r in self.presentation.relations]
 
     def groebner(self, degree_bound: int) -> GroebnerBasis:
-        have = [d for d in self._bases if d >= degree_bound]
-        if have:
-            return self._bases[min(have)]
-        g = complete(self.presentation, degree_bound)
-        self._bases[degree_bound] = g
-        return g
+        """A basis certified at least to `degree_bound`; only the one with the
+        highest bound asked for so far is kept."""
+        if self._basis is None or self._basis.degree_bound < degree_bound:
+            self._basis = complete(self.presentation, degree_bound)
+        return self._basis
 
     def hilbert(self, degree: int):
         return hilbert_coeffs(self.groebner(degree), degree)
@@ -139,11 +138,8 @@ def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
     levels = normal_words_by_degree(g, 4)
     dual2 = [NcPoly.monomial(dual.field, dual.ngens, w) for w in levels[2]]
     gens = [NcPoly.gen(dual.field, dual.ngens, j) for j in range(dual.ngens)]
-    if dual2:
-        left_ann = _stacked_kernel_dim(g, gens, dual2, "left")
-        right_ann = _stacked_kernel_dim(g, gens, dual2, "right")
-    else:
-        left_ann = right_ann = len(gens)
+    left_ann = _stacked_kernel_dim(g, gens, dual2, "left")
+    right_ann = _stacked_kernel_dim(g, gens, dual2, "right")
     return DualHypotheses(
         dual4_zero=not levels[4],
         dual3_dim=len(levels[3]),
@@ -157,8 +153,6 @@ def right_annihilator_dim(algebra: QuadraticAlgebra, degree: int) -> int:
     computation of the stacked left-multiplication maps."""
     g = algebra.groebner(degree + 1)
     words = normal_words_by_degree(g, degree)[degree]
-    if not words:
-        return 0
     vectors = [NcPoly.monomial(algebra.field, algebra.ngens, w) for w in words]
     gens = [NcPoly.gen(algebra.field, algebra.ngens, j) for j in range(algebra.ngens)]
     return _stacked_kernel_dim(g, vectors, gens, "right")

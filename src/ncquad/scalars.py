@@ -3,8 +3,11 @@
 Elements are plain arithmetic objects -- `fractions.Fraction` for Q,
 `ThetaRational` for Q(w), and per-prime modular integers for GF(p) -- all
 supporting +, -, *, /, ** and truth testing, so the rest of the package can
-stay field-generic.  Field objects describe the domain, build and parse
-elements, and hand out the cube root of unity where one exists.
+stay field-generic.  The two classes defined here each write their own hot
+operators (+, -, *, unary -, ==, hash, truth and `inverse`) and share one
+body each of reflected subtraction, division and powers, in `_Element`.
+Field objects describe the domain, build and parse elements, and hand out
+the cube root of unity where one exists.
 
 Text syntax for scalars (presentation files and the command line): an
 integer, `num/den`, or `a+b*w` / `a-b*w` where `w` denotes the cube root.
@@ -23,7 +26,47 @@ from .errors import CharThreeError, MixedFieldsError, NoCubeRootError, ParseErro
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
-class ThetaRational:
+class _Element:
+    """Operators a field element derives from its own `_coerce`, `-`, `*` and
+    `inverse`; each scalar class defines those and the other hot operators."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        # repeated squaring from the base: x**3 takes 2 products, x**8 takes 3
+        base = self.inverse() if n < 0 else self
+        n = abs(n)
+        out = None
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self._coerce(1) if out is None else out
+
+
+class ThetaRational(_Element):
     """Element a + b*w of Q[w]/(w^2 + w + 1), components reduced fractions."""
 
     __slots__ = ("a", "b")
@@ -59,12 +102,6 @@ class ThetaRational:
             return NotImplemented
         return ThetaRational(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ThetaRational(o.a - self.a, o.b - self.b)
-
     def __neg__(self):
         return ThetaRational(-self.a, -self.b)
 
@@ -86,33 +123,6 @@ class ThetaRational:
             raise ZeroDivisionError("inverse of zero in Q(w)")
         return ThetaRational((a - b) / n, -b / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        # repeated squaring from the base: x**3 takes 2 products, x**8 takes 3
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        out = None
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return ThetaRational(1) if out is None else out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -128,7 +138,7 @@ class ThetaRational:
         return bool(self.a) or bool(self.b)
 
 
-class _ModPBase:
+class _ModPBase(_Element):
     """Residue in GF(p); concrete subclasses carry p as a class attribute."""
 
     __slots__ = ("v",)
@@ -166,12 +176,6 @@ class _ModPBase:
             return NotImplemented
         return type(self)(self.v - o.v)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(o.v - self.v)
-
     def __neg__(self):
         return type(self)(-self.v)
 
@@ -187,25 +191,6 @@ class _ModPBase:
         if not self.v:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return type(self)(pow(self.v, -1, self.p))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return type(self)(pow(self.v, n, self.p))
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -261,13 +246,6 @@ class Field:
 
     def characteristic(self) -> int:
         raise NotImplementedError
-
-    def has_theta(self) -> bool:
-        try:
-            self.theta()
-        except NoCubeRootError:
-            return False
-        return True
 
     def theta(self):
         raise NotImplementedError
@@ -414,11 +392,6 @@ class PrimeField(Field):
 QQ = RationalField()
 QQ_THETA = ThetaField()
 GF = PrimeField
-
-
-def primitive_cube_root(field: Field):
-    """Return theta with theta^3 = 1, theta != 1, or raise NoCubeRootError."""
-    return field.theta()
 
 
 def parse_field(text: str) -> Field:

@@ -332,12 +332,12 @@ def substitution_chain(field, a, b) -> ChainResult:
     s1 = LinearSub.from_columns(field, [[-one / (a + b), zero, zero], [zero, one, zero], [zero, zero, one]])
     s2 = LinearSub.from_columns(field, [[one, one, one], [one, th2, th], [one, th, th2]])
 
-    pot = sklyanin_potential(field, a, b, one).value
+    pot = sklyanin_potential(field, a, b, one)
     pot = apply_sub(apply_sub(pot, s1), s2)
     scale = pot.coeff((X, X, X))
     ap = pot.coeff((X, Y, Z)) / scale - one
     bp = pot.coeff((X, Z, Y)) / scale - one
-    if pot != sum_cube_potential(field, ap, bp).value.scale(scale):
+    if pot != sum_cube_potential(field, ap, bp).scale(scale):
         raise AssertionError("transported potential is not of the symmetric-cube form")
 
     denom = (a + b) ** 3 + one
@@ -381,7 +381,7 @@ def substitution_chain(field, a, b) -> ChainResult:
     if rref(_rows(relations_from_potential(pot)), field) != (reduced, pivots):
         raise AssertionError("potential route and relation route disagree")
     nu = pot.coeff((X, X, X))
-    if pot != staircase_potential(field, alpha, gamma).value.scale(nu):
+    if pot != staircase_potential(field, alpha, gamma).scale(nu):
         raise AssertionError("transported potential is not the staircase potential")
 
     apb, amb = ap + bp, ap - bp

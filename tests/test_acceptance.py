@@ -12,8 +12,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from ncquad import GF, QQ, QQ_THETA, ThetaRational
 from ncquad.cli import parse_presentation
 from ncquad.groebner import (

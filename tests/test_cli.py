@@ -63,6 +63,7 @@ REPEATED_DIRECTIVES = [
     ("field Q\ngens x y\norder y > x\norder x > y\nrel x*y\n", 4),
     ("field Q\ngens x y\npotential x*y*x\npotential y*y*y\n", 4),
 ]
+NOT_INVARIANT_POTENTIAL = "field Q\ngens x y\n# x*x*y alone is not cyclically invariant\npotential x*x*y\n"
 
 
 def test_parse_errors():
@@ -81,6 +82,10 @@ def test_parse_errors():
         with pytest.raises(ParseError, match="repeated") as exc:
             parse_presentation(text)
         assert exc.value.line == line
+    # a potential that is not cyclically invariant is a parse error at its line
+    with pytest.raises(ParseError, match="not cyclically invariant") as exc:
+        parse_presentation(NOT_INVARIANT_POTENTIAL)
+    assert type(exc.value) is ParseError and exc.value.line == 4
 
 
 def test_hilbert_command(capsys):
@@ -259,6 +264,10 @@ def test_parse_error_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, "gb", str(bad))
         assert code == 2
         assert "error" in json.loads(err)
+    bad.write_text(NOT_INVARIANT_POTENTIAL)
+    code, out, err = run(capsys, "gb", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"] == {"kind": "ParseError", "detail": "line 4: potential is not cyclically invariant"}
 
 
 @pytest.mark.parametrize(

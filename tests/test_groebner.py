@@ -18,7 +18,6 @@ from ncquad.groebner import (
     complete,
     graded_dim_oracle,
     hilbert_coeffs,
-    normal_form,
     normal_words,
     normal_words_by_degree,
 )
@@ -76,18 +75,18 @@ def test_normal_form_single_step():
     p = triangular_pres(QQ.one, QQ.one)
     g = complete(p, 4)
     xx = NcPoly.monomial(QQ, 3, (X, X))
-    assert normal_form(xx, g) == parse_poly("z*x - z*y - z*z", QQ, NAMES)
+    assert g.reduce(xx) == parse_poly("z*x - z*y - z*z", QQ, NAMES)
 
 
 def test_normal_form_untouched_and_self():
     p = pres(W_RELATIONS)
     g = complete(p, 5)
     zzz = NcPoly.monomial(QQ, 3, (Z, Z, Z))
-    assert normal_form(zzz, g) == zzz
+    assert g.reduce(zzz) == zzz
     for e in g.elements:
-        assert not normal_form(e, g)
+        assert not g.reduce(e)
     for r in p.relations:
-        assert not normal_form(r, g)
+        assert not g.reduce(r)
 
 
 def test_normal_form_custom_order():
@@ -95,7 +94,7 @@ def test_normal_form_custom_order():
     f = parse_poly("x*x*y - y*y*y", QQ, ("x", "y"))
     g = complete(Presentation(QQ, 2, (f,), order), 4)
     yyy = NcPoly.monomial(QQ, 2, (1, 1, 1))
-    assert normal_form(yyy, g) == parse_poly("x*x*y", QQ, ("x", "y"))
+    assert g.reduce(yyy) == parse_poly("x*x*y", QQ, ("x", "y"))
 
 
 def test_free_algebra_basis_empty():
@@ -233,9 +232,9 @@ def test_incomplete_basis_guard():
     with pytest.raises(IncompleteBasisError):
         normal_words_by_degree(g, 5)
     # within the bound the remainder is unique; above it, it is not
-    assert not normal_form(NcPoly.monomial(QQ, 3, (X, Y, Y, Y)), g)
+    assert not g.reduce(NcPoly.monomial(QQ, 3, (X, Y, Y, Y)))
     with pytest.raises(IncompleteBasisError):
-        normal_form(NcPoly.monomial(QQ, 3, (X, Y, Y, Y, Y)), g)
+        g.reduce(NcPoly.monomial(QQ, 3, (X, Y, Y, Y, Y)))
     with pytest.raises(IncompleteBasisError):
         g.reduce(NcPoly.monomial(QQ, 3, (Z, Z, Z, Z, Z)) + NcPoly.monomial(QQ, 3, (Z,)))
 
@@ -346,7 +345,7 @@ def test_confluence_random_reduction_orders():
     for _ in range(10):
         word = tuple(rng.randrange(3) for _ in range(5))
         f = NcPoly.monomial(QQ, 3, word)
-        assert random_reduce(f) == normal_form(f, g)
+        assert random_reduce(f) == g.reduce(f)
 
 
 def test_sklyanin_lower_bound():
@@ -554,9 +553,9 @@ def test_contributions_summing_to_p_cancel():
     rels = tuple(parse_poly(t, f7, NAMES) for t in ("x*x + 4*y*z", "y*y + 3*y*z", "y*z - z*z"))
     g = GroebnerBasis(Presentation(f7, 3, rels), rels, 2)
     assert g.lead_words() == ((X, X), (Y, Y), (Y, Z))
-    assert normal_form(parse_poly("x*x + y*y", f7, NAMES), g) == NcPoly.zero(f7, 3)
+    assert g.reduce(parse_poly("x*x + y*y", f7, NAMES)) == NcPoly.zero(f7, 3)
     assert g.index.steps == 2
-    rem = normal_form(parse_poly("x*x + y*y + y*z", f7, NAMES), g)
+    rem = g.reduce(parse_poly("x*x + y*y + y*z", f7, NAMES))
     assert rem == NcPoly.monomial(f7, 3, (Z, Z)) and type(rem.terms[(Z, Z)]) is type(f7.one)
     assert g.index.steps == 5
 
@@ -572,10 +571,8 @@ def test_reduce_rejects_other_field():
             f = NcPoly.monomial(field, 3, word)
             with pytest.raises(MixedFieldsError):
                 g.reduce(f)
-            with pytest.raises(MixedFieldsError):
-                normal_form(f, g)
-        assert normal_form(NcPoly.monomial(basis_field, 3, normal), g) == NcPoly.monomial(basis_field, 3, normal)
-        assert normal_form(NcPoly.monomial(basis_field, 3, lead), g) != NcPoly.monomial(basis_field, 3, lead)
+        assert g.reduce(NcPoly.monomial(basis_field, 3, normal)) == NcPoly.monomial(basis_field, 3, normal)
+        assert g.reduce(NcPoly.monomial(basis_field, 3, lead)) != NcPoly.monomial(basis_field, 3, lead)
 
 
 def test_reduce_rejects_other_generator_count():
@@ -587,8 +584,6 @@ def test_reduce_rejects_other_generator_count():
             f = NcPoly.monomial(QQ, ngens, word)
             with pytest.raises(DimensionMismatchError):
                 g.reduce(f)
-            with pytest.raises(DimensionMismatchError):
-                normal_form(f, g)
 
 
 def test_presentation_rejects_other_generator_count():

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used there.
+"""Every name a package module, demo or test imports is used there.
 
 The one exception is a name the traced benchmark run wraps at that module
 (`perfbench/tracing.FUNCTIONS`): the wrapper replaces the module attribute,
@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "ncquad"
+CHECKED_DIRS = (ROOT / "src" / "ncquad", ROOT / "demos", ROOT / "tests")
 
 
 def traced_import_sites():
@@ -57,10 +57,10 @@ def test_traced_sites_are_read():
 def test_no_unused_imports():
     sites = traced_import_sites()
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(p for d in CHECKED_DIRS for p in d.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = used_names(tree)
         for name, line in imported_names(tree).items():
             if name not in used and (path.stem, name) not in sites:
-                unused.append(f"{path.name}:{line}: {name}")
+                unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert unused == []

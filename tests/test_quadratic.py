@@ -3,10 +3,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from ncquad import GF, QQ, QQ_THETA
-from ncquad.groebner import Presentation, complete, graded_dim_oracle, hilbert_coeffs
+from ncquad import GF, QQ
+from ncquad.groebner import Presentation, graded_dim_oracle
 from ncquad.linalg import row_space_equal
 from ncquad.ncpoly import NcPoly, parse_poly
 from ncquad.quadratic import (
@@ -144,6 +142,17 @@ def test_w_dual_has_annihilator_structure():
     dual = dual_algebra(algebra_w())
     assert dual.hilbert(4) == [1, 3, 3, 1, 0]
     assert right_annihilator_dim(dual, 3) == 1
+    # A^!_4 = 0: no vectors, so no kernel
+    assert right_annihilator_dim(dual, 4) == 0
+
+
+def test_one_completion_kept():
+    # the basis with the highest bound asked for serves every lower bound
+    alg = algebra_w()
+    g5 = alg.groebner(5)
+    assert alg.groebner(3) is g5 and alg.groebner(5) is g5
+    g6 = alg.groebner(6)
+    assert g6.degree_bound == 6 and alg.groebner(4) is g6
 
 
 def test_dim3_from_dual_dims():

@@ -19,8 +19,6 @@ from ncquad.sklyanin import (
     _path_witness,
     _ray,
     _verified,
-    ChainResult,
-    IsoDecision,
     ParamTriple,
     RecursionOutcome,
     SklyaninKind,
