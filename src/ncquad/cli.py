@@ -8,18 +8,22 @@ File grammar, line oriented, `#` starts a comment:
     rel <polynomial>               (zero or more)
     potential <polynomial>         (alternative to rel lines)
 
-Each directive but `rel` appears at most once.
+Each directive but `rel` appears at most once, and a file has either `rel`
+lines or a `potential` line.  Polynomials are read by `ncpoly.parse_poly`.
 
 Commands print a single JSON object on stdout and exit 0; domain errors
 exit 1 and file/syntax errors exit 2, with `{"error": ...}` on stderr.
+Two tables dispatch them: `_FILE_COMMANDS` for the commands on a file and
+`_SKLYANIN_COMMANDS` for the `sklyanin` subcommands.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
-from .errors import AlgebraError, ParseError, UnknownGeneratorError
+from .errors import AlgebraError, ParseError
 # graded_dim_oracle is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/tracing.py) wraps it at this import site
 from .groebner import (  # noqa: F401
@@ -62,10 +66,9 @@ def parse_presentation(text: str) -> Presentation:
         rest = rest.strip()
         try:
             # a second line would silently rename or re-field what came before
-            if head in ("field", "gens", "order", "potential"):
-                if head in seen:
-                    raise ParseError(f"repeated {head} line")
-                seen.add(head)
+            if head in ("field", "gens", "order", "potential") and head in seen:
+                raise ParseError(f"repeated {head} line")
+            seen.add(head)
             if head == "field":
                 field = parse_field(rest)
             elif head == "gens":
@@ -82,19 +85,18 @@ def parse_presentation(text: str) -> Presentation:
                 for rank, nm in enumerate(listed):
                     prec[names.index(nm)] = rank
                 order = MonomialOrder(tuple(prec))
-            elif head == "rel":
+            elif head in ("rel", "potential"):
                 if field is None or names is None:
-                    raise ParseError("rel line before field/gens lines")
-                relations.append(parse_poly(rest, field, names))
-            elif head == "potential":
-                if field is None or names is None:
-                    raise ParseError("potential line before field/gens lines")
-                potential_poly = parse_poly(rest, field, names)
-                potential_line = lineno
+                    raise ParseError(f"{head} line before field/gens lines")
+                if {"rel", "potential"} <= seen:
+                    raise ParseError("a file has either rel lines or a potential line")
+                poly = parse_poly(rest, field, names)
+                if head == "rel":
+                    relations.append(poly)
+                else:
+                    potential_poly, potential_line = poly, lineno
             else:
                 raise ParseError(f"unknown directive {head!r}")
-        except UnknownGeneratorError as exc:
-            raise UnknownGeneratorError(str(exc), line=lineno) from None
         except ParseError as exc:
             if exc.line is None:
                 raise type(exc)(str(exc), line=lineno) from None
@@ -102,8 +104,6 @@ def parse_presentation(text: str) -> Presentation:
     if field is None or names is None:
         raise ParseError("file needs field and gens lines")
     if potential_poly is not None:
-        if relations:
-            raise ParseError("a file has either rel lines or a potential line")
         try:
             relations = relations_from_potential(potential_poly)
         except ValueError as exc:
@@ -163,18 +163,47 @@ def _scalar_matrix(sub, field):
     return [[field.render(v) for v in row] for row in sub.matrix]
 
 
-def _class_payload(cls, field):
-    params = {}
-    if cls.alpha is not None:
-        params["alpha"] = field.render(cls.alpha)
-    if cls.pair is not None:
-        params["a"] = field.render(cls.pair[0])
-        params["b"] = field.render(cls.pair[1])
+def _gb(pres, degree):
+    basis = complete(pres, degree)
     return {
-        "class": cls.kind.value,
-        "params": params,
-        "witness": _scalar_matrix(cls.witness, field),
+        "gb": [
+            {
+                "lead": render_word(g.leading_word(basis.order), pres.names),
+                "poly": render_poly(g, pres.names, basis.order),
+            }
+            for g in basis.elements
+        ],
+        "complete": True,
+        "degree_bound": basis.degree_bound,
     }
+
+
+def _dual(pres, degree):
+    dp = dual_algebra(QuadraticAlgebra(pres)).presentation
+    return {"gens": list(dp.names), "relations": [render_poly(r, dp.names, dp.order) for r in dp.relations]}
+
+
+def _koszul(pres, degree):
+    alg = QuadraticAlgebra(pres)
+    report = dual_hypotheses(alg)
+    return {
+        "defect": koszul_defect(alg, degree),
+        "dual_hypotheses": dataclasses.asdict(report),
+        "right_annihilator_dims": [right_annihilator_dim(alg, d) for d in range(1, degree)],
+    }
+
+
+# The payloads here and in _SKLYANIN_COMMANDS look library functions up as
+# this module's attributes when they run, so that a wrapper installed there
+# (perfbench/tracing.py) sees every call.
+# command -> (default --deg, None for no --deg; payload of (presentation, degree))
+_FILE_COMMANDS = {
+    "gb": (DEFAULT_DEGREE, _gb),
+    "hilbert": (DEFAULT_DEGREE, lambda pres, d: {"hilbert": hilbert_coeffs(complete(pres, d), d)}),
+    "oracle": (4, lambda pres, d: {"oracle": _graded_dims(pres, d)}),
+    "dual": (None, _dual),
+    "koszul": (DEFAULT_DEGREE, _koszul),
+}
 
 
 def run_command(argv) -> int:
@@ -185,68 +214,68 @@ def run_command(argv) -> int:
         return 0
     cmd = args.pop(0)
     try:
-        if cmd == "gb":
-            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
-            pres = _load(args)
-            basis = complete(pres, degree)
-            return _emit(
-                {
-                    "gb": [
-                        {
-                            "lead": render_word(g.leading_word(basis.order), pres.names),
-                            "poly": render_poly(g, pres.names, basis.order),
-                        }
-                        for g in basis.elements
-                    ],
-                    "complete": True,
-                    "degree_bound": basis.degree_bound,
-                }
-            )
-        if cmd == "hilbert":
-            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
-            pres = _load(args)
-            basis = complete(pres, degree)
-            return _emit({"hilbert": hilbert_coeffs(basis, degree)})
-        if cmd == "oracle":
-            degree = _int_flag(args, "--deg", 4)
-            pres = _load(args)
-            return _emit({"oracle": _graded_dims(pres, degree)})
-        if cmd == "dual":
-            pres = _load(args)
-            dual = dual_algebra(QuadraticAlgebra(pres))
-            dp = dual.presentation
-            return _emit(
-                {
-                    "gens": list(dp.names),
-                    "relations": [render_poly(r, dp.names, dp.order) for r in dp.relations],
-                }
-            )
-        if cmd == "koszul":
-            degree = _int_flag(args, "--deg", DEFAULT_DEGREE)
-            pres = _load(args)
-            alg = QuadraticAlgebra(pres)
-            report = dual_hypotheses(alg)
-            return _emit(
-                {
-                    "defect": koszul_defect(alg, degree),
-                    "dual_hypotheses": {
-                        "dual4_zero": report.dual4_zero,
-                        "dual3_dim": report.dual3_dim,
-                        "no_dual_degree1_left_annihilator": report.no_dual_degree1_left_annihilator,
-                        "no_dual_degree1_right_annihilator": report.no_dual_degree1_right_annihilator,
-                    },
-                    "right_annihilator_dims": [
-                        right_annihilator_dim(alg, d) for d in range(1, degree)
-                    ],
-                }
-            )
         if cmd == "sklyanin":
             return _run_sklyanin(args)
-        return _fail("usage", f"unknown command {cmd!r}", 2)
+        if cmd not in _FILE_COMMANDS:
+            return _fail("usage", f"unknown command {cmd!r}", 2)
+        default_degree, payload = _FILE_COMMANDS[cmd]
+        degree = None if default_degree is None else _int_flag(args, "--deg", default_degree)
+        return _emit(payload(_load(args), degree))
     except (ParseError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
     except (AlgebraError, ValueError, ZeroDivisionError) as exc:
         return _fail(type(exc).__name__, str(exc), 1)
+
+
+def _classify(field, xs, kmax):
+    cls = classify(ParamTriple(field, *xs))
+    params = {}
+    if cls.alpha is not None:
+        params["alpha"] = field.render(cls.alpha)
+    if cls.pair is not None:
+        params["a"] = field.render(cls.pair[0])
+        params["b"] = field.render(cls.pair[1])
+    return {"class": cls.kind.value, "params": params, "witness": _scalar_matrix(cls.witness, field)}
+
+
+def _iso(field, xs, kmax):
+    decision = are_isomorphic(ParamTriple(field, *xs[:3]), ParamTriple(field, *xs[3:]))
+    witness = _scalar_matrix(decision.witness, field) if decision.witness else None
+    return {"isomorphic": decision.isomorphic, "reason": decision.reason, "witness": witness}
+
+
+def _orbit(field, xs, kmax):
+    return {"orbit": [[field.render(u), field.render(v)] for u, v in iso_group_orbit(field, *xs)]}
+
+
+def _chain(field, xs, kmax):
+    res = substitution_chain(field, *xs)
+    return {
+        "subs": [_scalar_matrix(s, field) for s in res.steps],
+        "ab_coeffs": [field.render(res.ab_coeffs[0]), field.render(res.ab_coeffs[1])],
+        "alpha": field.render(res.alpha),
+        "gamma": field.render(res.gamma),
+    }
+
+
+def _recursion(field, xs, kmax):
+    states = coefficient_recursion(field, *xs, kmax)
+    return {
+        "states": [
+            {"k": s.k, "a": field.render(s.a), "b": field.render(s.b), "outcome": s.outcome.value}
+            for s in states
+        ]
+    }
+
+
+# subcommand -> (number of scalar arguments, payload of (field, scalars, kmax))
+_SKLYANIN_COMMANDS = {
+    "classify": (3, _classify),
+    "iso": (6, _iso),
+    "orbit": (2, _orbit),
+    "chain": (2, _chain),
+    "recursion": (2, _recursion),
+}
 
 
 def _run_sklyanin(args) -> int:
@@ -254,58 +283,14 @@ def _run_sklyanin(args) -> int:
         return _fail("usage", "sklyanin needs a subcommand", 2)
     sub = args.pop(0)
     field = parse_field(_take_flag(args, "--field", "Q(w)"))
+    if sub not in _SKLYANIN_COMMANDS:
+        return _fail("usage", f"unknown sklyanin subcommand {sub!r}", 2)
+    count, payload = _SKLYANIN_COMMANDS[sub]
     # only recursion takes --kmax; on another subcommand it is an extra argument
     kmax = _int_flag(args, "--kmax", 8) if sub == "recursion" else None
-    needed = {"classify": 3, "iso": 6, "orbit": 2, "chain": 2, "recursion": 2}
-    if sub in needed and len(args) != needed[sub]:
-        return _fail("usage", f"sklyanin {sub} needs {needed[sub]} scalar arguments", 2)
-
-    def triple(three):
-        p, q, r = (field.parse(s) for s in three)
-        return ParamTriple(field, p, q, r)
-
-    if sub == "classify":
-        cls = classify(triple(args[:3]))
-        return _emit(_class_payload(cls, field))
-    if sub == "iso":
-        decision = are_isomorphic(triple(args[:3]), triple(args[3:6]))
-        payload = {"isomorphic": decision.isomorphic, "reason": decision.reason}
-        payload["witness"] = (
-            _scalar_matrix(decision.witness, field) if decision.witness else None
-        )
-        return _emit(payload)
-    if sub == "orbit":
-        a, b = (field.parse(s) for s in args[:2])
-        orbit = iso_group_orbit(field, a, b)
-        return _emit({"orbit": [[field.render(u), field.render(v)] for u, v in orbit]})
-    if sub == "chain":
-        a, b = (field.parse(s) for s in args[:2])
-        res = substitution_chain(field, a, b)
-        return _emit(
-            {
-                "subs": [_scalar_matrix(s, field) for s in res.steps],
-                "ab_coeffs": [field.render(res.ab_coeffs[0]), field.render(res.ab_coeffs[1])],
-                "alpha": field.render(res.alpha),
-                "gamma": field.render(res.gamma),
-            }
-        )
-    if sub == "recursion":
-        alpha, gamma = (field.parse(s) for s in args[:2])
-        states = coefficient_recursion(field, alpha, gamma, kmax)
-        return _emit(
-            {
-                "states": [
-                    {
-                        "k": s.k,
-                        "a": field.render(s.a),
-                        "b": field.render(s.b),
-                        "outcome": s.outcome.value,
-                    }
-                    for s in states
-                ]
-            }
-        )
-    return _fail("usage", f"unknown sklyanin subcommand {sub!r}", 2)
+    if len(args) != count:
+        return _fail("usage", f"sklyanin {sub} needs {count} scalar arguments", 2)
+    return _emit(payload(field, [field.parse(s) for s in args], kmax))
 
 
 _USAGE = """\

@@ -5,10 +5,18 @@ A word is a tuple of 0-based generator indices; a polynomial is a mapping
 from words to nonzero field elements.  The monomial order compares by total
 degree first, then left-to-right by generator precedence (index 0 largest by
 default), and is compatible with multiplication on both sides.
+
+Text syntax: `+`/`-`-joined terms of `*`-separated factors, such as
+`x*y - 1/2*w*y*x + 3*zz`.  A factor is a scalar literal of the field, a unit
+of the field (`w` over Q(w)), a generator name, or a juxtaposed run of
+generator names.  There are no parentheses, so every sign starts a term.
+Coefficients are read and written by their field (`Field.parse`,
+`Field.units`, `Field.parts`); this module only places them on words.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,6 +26,7 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .linalg import mat_inverse, mat_mul
+from .scalars import write_terms
 
 Word = tuple  # tuple of generator indices
 
@@ -305,62 +314,24 @@ def render_word(word, names):
     return "*".join(names[g] for g in word)
 
 
-def _coeff_sign_parts(c):
-    """Split a coefficient into (is_negative, magnitude); only Q has signs."""
-    from fractions import Fraction
-
-    if isinstance(c, Fraction):
-        return (c < 0, -c if c < 0 else c)
-    return (False, c)
-
-
 def render_poly(f: NcPoly, names, order=None) -> str:
-    """Canonical text form; Q(w) coefficients split into rational and w-parts."""
-    from .scalars import ThetaRational
-
-    if not f.terms:
-        return "0"
+    """Canonical text form, terms in descending order; each coefficient is
+    written as its field's parts."""
     order = order or degree_lex(f.ngens)
-    pieces = []  # (sign, text) with sign in {+1, -1}
-    for w, c in f.sorted_terms(order):
-        if isinstance(c, ThetaRational):
-            if c.a:
-                pieces.append(_render_term(c.a, w, names))
-            if c.b:
-                neg, mag = _coeff_sign_parts(c.b)
-                body = render_word(w, names)
-                if mag == 1:
-                    text = f"w*{body}" if w else "w"
-                else:
-                    text = f"{mag}*w*{body}" if w else f"{mag}*w"
-                pieces.append((-1 if neg else 1, text))
-        else:
-            pieces.append(_render_term(c, w, names))
-    out = []
-    for i, (sign, text) in enumerate(pieces):
-        if i == 0:
-            out.append(f"-{text}" if sign < 0 else text)
-        else:
-            out.append(f"- {text}" if sign < 0 else f"+ {text}")
-    return " ".join(out)
+    terms = (
+        (v, u, render_word(w, names) if w else "")
+        for w, c in f.sorted_terms(order)
+        for v, u in f.field.parts(c)
+    )
+    return write_terms(terms, " ")
 
 
-def _render_term(c, w, names):
-    neg, mag = _coeff_sign_parts(c)
-    body = render_word(w, names)
-    if mag == 1 and w:
-        return (-1 if neg else 1, body)
-    if not w:
-        return (-1 if neg else 1, str(mag))
-    return (-1 if neg else 1, f"{mag}*{body}")
-
-
-def _split_word_token(token, names, name_set):
+def _split_word_token(token, names):
     """Split a juxtaposed generator token like `xyz` into generator names."""
     out = []
     i = 0
     while i < len(token):
-        for name in sorted(name_set, key=len, reverse=True):
+        for name in sorted(names, key=len, reverse=True):
             if token.startswith(name, i):
                 out.append(name)
                 i += len(name)
@@ -371,46 +342,22 @@ def _split_word_token(token, names, name_set):
 
 
 def parse_poly(text, field, names) -> NcPoly:
-    """Parse `+/-`-joined terms of `*`-separated factors.
-
-    A factor is a scalar literal (integer, num/den, or `w` over Q(w)), a
-    generator name, or a juxtaposed run of single-character generator names.
-    """
-    from .scalars import ThetaField, ThetaRational
-
-    names = list(names)
-    name_set = set(names)
+    """Parse the text syntax above into a polynomial over `field`."""
     index = {n: i for i, n in enumerate(names)}
-    ngens = len(names)
+    units = field.units
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial")
-    if s == "0":
-        return NcPoly.zero(field, ngens)
-
-    # split into signed terms; the grammar has no parentheses and no signs
-    # inside factors, so every +/- starts a new term
-    terms = []
-    cur = []
-    sign = 1
-    for idx, ch in enumerate(s):
-        if ch in "+-":
-            chunk = "".join(cur).strip()
-            if chunk:
-                terms.append((sign, chunk))
-            elif idx != 0:
-                raise ParseError(f"dangling sign in {text!r}")
-            sign = 1 if ch == "+" else -1
-            cur = []
-        else:
-            cur.append(ch)
-    chunk = "".join(cur).strip()
-    if not chunk:
+    # every sign starts a term (no parentheses, no signs inside factors);
+    # only the first sign may have no text before it
+    first, *rest = re.split(r"([+-])", s)
+    terms = ([("+", first)] if first else []) + list(zip(rest[::2], rest[1::2]))
+    if not all(chunk.strip() for _, chunk in terms):
         raise ParseError(f"dangling sign in {text!r}")
-    terms.append((sign, chunk))
 
-    poly = NcPoly.zero(field, ngens)
-    for sgn, chunk in terms:
+    pairs = []
+    for sign, chunk in terms:
+        chunk = chunk.strip()
         coeff = field.one
         word = []
         for factor in chunk.split("*"):
@@ -419,14 +366,11 @@ def parse_poly(text, field, names) -> NcPoly:
                 raise ParseError(f"empty factor in term {chunk!r}")
             if factor in index:
                 word.append(index[factor])
-            elif factor == "w" and isinstance(field, ThetaField):
-                coeff = coeff * ThetaRational(0, 1)
+            elif factor in units:
+                coeff = coeff * units[factor]
             elif factor[0].isdigit():
                 coeff = coeff * field.parse(factor)
             else:
-                parts = _split_word_token(factor, names, name_set)
-                word.extend(index[p] for p in parts)
-        if sgn < 0:
-            coeff = -coeff
-        poly = poly + NcPoly.monomial(field, ngens, tuple(word), coeff)
-    return poly
+                word.extend(index[p] for p in _split_word_token(factor, index))
+        pairs.append((word, -coeff if sign == "-" else coeff))
+    return NcPoly.from_pairs(field, len(names), pairs)

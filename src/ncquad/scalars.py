@@ -11,7 +11,11 @@ the cube root of unity where one exists.
 
 Text syntax for scalars (presentation files and the command line): an
 integer, `num/den`, or `a+b*w` / `a-b*w` where `w` denotes the cube root.
-Rendering is the canonical inverse of parsing.
+Each field owns the text of its coefficients: `Field.parts` splits an
+element into (value, unit) pairs, `Field.units` maps each unit name a
+polynomial may use as a factor (`w` over Q(w)) to its element, and
+`write_terms` is the one writer of signed terms, for scalars and
+polynomials alike.  Rendering is the canonical inverse of parsing.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class ThetaRational(_Element):
         return f"ThetaRational({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        return render_theta(self)
+        return QQ_THETA.render(self)
 
     def _coerce(self, other):
         if isinstance(other, ThetaRational):
@@ -233,6 +237,9 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Common interface of the three coefficient domains."""
 
+    # unit name -> element, for the units `parts` writes besides ""
+    units = {}
+
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -253,11 +260,35 @@ class Field:
     def parse(self, text: str):
         raise NotImplementedError
 
+    def parts(self, x):
+        """The (value, unit) pairs whose sum is x: value a signed rational or
+        a residue, unit "" or a key of `units`; no pair for zero."""
+        return [(x, "")] if x else []
+
     def render(self, x) -> str:
         raise NotImplementedError
 
     def name(self) -> str:
         raise NotImplementedError
+
+
+def write_terms(terms, sep) -> str:
+    """Text of a sum of (value, unit, word) terms, `sep` around each sign.
+
+    A magnitude of 1 is dropped when a unit or a word follows it; the empty
+    sum is "0".
+    """
+    out = ""
+    for value, unit, word in terms:
+        neg = value < 0
+        mag = -value if neg else value
+        factors = (unit, word) if mag == 1 and (unit or word) else (str(mag), unit, word)
+        text = "*".join(f for f in factors if f)
+        if out:
+            out += f"{sep}{'-' if neg else '+'}{sep}{text}"
+        else:
+            out = f"-{text}" if neg else text
+    return out or "0"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -267,24 +298,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
-
-
-def render_theta(x: ThetaRational) -> str:
-    a, b = x.a, x.b
-    if not b:
-        return str(a)
-    if b == 1:
-        wpart = "w"
-    elif b == -1:
-        wpart = "-w"
-    else:
-        wpart = f"{b}*w"
-    if not a:
-        return wpart
-    sign = "+" if b > 0 else "-"
-    mag = abs(b)
-    wmag = "w" if mag == 1 else f"{mag}*w"
-    return f"{a}{sign}{wmag}"
 
 
 def parse_theta(text: str) -> ThetaRational:
@@ -327,6 +340,8 @@ class RationalField(Field):
 
 @dataclass(frozen=True)
 class ThetaField(Field):
+    units = {"w": ThetaRational(0, 1)}
+
     def from_int(self, n):
         return ThetaRational(n)
 
@@ -339,8 +354,11 @@ class ThetaField(Field):
     def parse(self, text):
         return parse_theta(text.strip())
 
+    def parts(self, x):
+        return [(v, u) for v, u in ((x.a, ""), (x.b, "w")) if v]
+
     def render(self, x):
-        return render_theta(x)
+        return write_terms(((v, u, "") for v, u in self.parts(x)), "")
 
     def name(self):
         return "Q(w)"
@@ -381,6 +399,9 @@ class PrimeField(Field):
         if not re.fullmatch(r"[+-]?\d+", s):
             raise ParseError(f"bad GF({self.p}) literal {text!r}")
         return self.from_int(int(s))
+
+    def parts(self, x):
+        return [(x.v, "")] if x.v else []
 
     def render(self, x):
         return str(x.v)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncquad import CharThreeError, HomogeneityError, ParseError, UnknownGeneratorError
+from ncquad import cli
 from ncquad.cli import parse_presentation, render_presentation, run_command
 from ncquad.ncpoly import parse_poly
 
@@ -55,6 +56,10 @@ def test_round_trip_render_parse():
         assert again.field == pres.field
         assert again.names == pres.names
         assert list(again.relations) == list(pres.relations)
+    # a non-default order is written back as an order line
+    text = "field Q\ngens a b c\norder c > a > b\nrel a*b - c*c\n"
+    assert render_presentation(parse_presentation(text)) == "field Q\ngens a b c\norder c > a > b\nrel -c*c + a*b\n"
+    assert parse_presentation(render_presentation(parse_presentation(text))) == parse_presentation(text)
 
 
 REPEATED_DIRECTIVES = [
@@ -64,13 +69,36 @@ REPEATED_DIRECTIVES = [
     ("field Q\ngens x y\npotential x*y*x\npotential y*y*y\n", 4),
 ]
 NOT_INVARIANT_POTENTIAL = "field Q\ngens x y\n# x*x*y alone is not cyclically invariant\npotential x*x*y\n"
+# (file text, error type, line or None, detail as printed)
+REJECTED_FILES = [
+    ("gens x y\nrel x*y\n", ParseError, 2, "rel line before field/gens lines"),
+    ("field Q\ngens x x\n", ParseError, 2, "generators must be distinct identifiers"),
+    ("field Q\ngens\n", ParseError, 2, "generators must be distinct identifiers"),
+    ("field Q\norder x > y\ngens x y\n", ParseError, 2, "order line before gens line"),
+    ("field Q\ngens x y\norder x\n", ParseError, 3, "order line must mention every generator once"),
+    ("field Q\npotential x*y*x\ngens x y\n", ParseError, 2, "potential line before field/gens lines"),
+    ("field Q\n", ParseError, None, "file needs field and gens lines"),
+    ("gens x y\n", ParseError, None, "file needs field and gens lines"),
+    ("field Q\ngens x y\nrel x*q\n", UnknownGeneratorError, 3, "unknown generator in 'q'"),
+    ("field Q\ngens x y\nrel\n", ParseError, 3, "empty polynomial"),
+    ("field Q\ngens x y\nrel x*y +\n", ParseError, 3, "dangling sign in 'x*y +'"),
+    ("field Q\ngens x y\nrel x*y + - y*x\n", ParseError, 3, "dangling sign in 'x*y + - y*x'"),
+    ("field Q\ngens x y\nrel -\n", ParseError, 3, "dangling sign in '-'"),
+    ("field Q\ngens x y\nrel x**y\n", ParseError, 3, "empty factor in term 'x**y'"),
+    # rel lines and a potential line conflict at whichever comes second
+    ("field Q\ngens x y\nrel x*y\nrel y*x\npotential x*x*x\n", ParseError, 5,
+     "a file has either rel lines or a potential line"),
+    ("field Q\ngens x y\npotential x*x*x\nrel x*y\n", ParseError, 4,
+     "a file has either rel lines or a potential line"),
+]
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_presentation("gens x y\nrel x*y\n")  # no field
-    with pytest.raises(UnknownGeneratorError):
-        parse_presentation("field Q\ngens x y\nrel x*q\n")
+    for text, kind, line, detail in REJECTED_FILES:
+        with pytest.raises(kind) as exc:
+            parse_presentation(text)
+        assert type(exc.value) is kind and exc.value.line == line, text
+        assert str(exc.value) == (detail if line is None else f"line {line}: {detail}")
     with pytest.raises(HomogeneityError):
         parse_presentation("field Q\ngens x y\nrel x*y + x\n")
     with pytest.raises(CharThreeError):
@@ -259,7 +287,7 @@ def test_domain_error_exit_code(capsys):
 
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
-    for text in ["field Q\ngens x y\nrel x*q\n"] + [text for text, _ in REPEATED_DIRECTIVES]:
+    for text, _ in REPEATED_DIRECTIVES:
         bad.write_text(text)
         code, out, err = run(capsys, "gb", str(bad))
         assert code == 2
@@ -268,30 +296,53 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "gb", str(bad))
     assert code == 2
     assert json.loads(err)["error"] == {"kind": "ParseError", "detail": "line 4: potential is not cyclically invariant"}
+    for text, kind, line, detail in REJECTED_FILES:
+        bad.write_text(text)
+        code, out, err = run(capsys, "gb", str(bad))
+        assert (code, out) == (2, ""), text
+        detail = detail if line is None else f"line {line}: {detail}"
+        assert json.loads(err)["error"] == {"kind": kind.__name__, "detail": detail}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gb", "presentations/w.alg", "--deg", "abc"),
-        ("oracle", "presentations/w.alg", "--deg", "2.5"),
-        ("sklyanin", "recursion", "0", "1", "--field", "Q", "--kmax", "x"),
-        ("sklyanin", "classify", "1", "2", "3", "4", "5"),
-        ("sklyanin", "iso", "1", "2", "1", "2", "1", "1", "7"),
-        ("sklyanin", "orbit", "2", "3", "--kmax", "5"),
-        ("oracle", "presentations/w.alg", "--deg", "2", "extra"),
-        ("dual", "presentations/w.alg", "presentations/free.alg"),
-        ("gb",),
-        ("sklyanin", "classify", "1/0", "1", "1"),
-        ("sklyanin", "orbit", "1+1/0*w", "2"),
-    ],
-)
+# argv -> (error kind, detail); `presentations/...` stands for the corpus path
+ARGUMENT_ERRORS = {
+    ("gb", "presentations/w.alg", "--deg", "abc"): ("ParseError", "--deg needs an integer, got 'abc'"),
+    ("oracle", "presentations/w.alg", "--deg", "2.5"): ("ParseError", "--deg needs an integer, got '2.5'"),
+    ("sklyanin", "recursion", "0", "1", "--field", "Q", "--kmax", "x"): (
+        "ParseError",
+        "--kmax needs an integer, got 'x'",
+    ),
+    ("sklyanin", "classify", "1", "2", "3", "4", "5"): ("usage", "sklyanin classify needs 3 scalar arguments"),
+    ("sklyanin", "iso", "1", "2", "1", "2", "1", "1", "7"): ("usage", "sklyanin iso needs 6 scalar arguments"),
+    ("sklyanin", "orbit", "2", "3", "--kmax", "5"): ("usage", "sklyanin orbit needs 2 scalar arguments"),
+    ("oracle", "presentations/w.alg", "--deg", "2", "extra"): (
+        "ParseError",
+        "expected one presentation file, got arguments ['presentations/w.alg', 'extra']",
+    ),
+    ("dual", "presentations/w.alg", "presentations/free.alg"): (
+        "ParseError",
+        "expected one presentation file, got arguments ['presentations/w.alg', 'presentations/free.alg']",
+    ),
+    ("gb",): ("ParseError", "expected one presentation file, got arguments []"),
+    ("sklyanin", "classify", "1/0", "1", "1"): ("ParseError", "zero denominator in '1/0'"),
+    ("sklyanin", "orbit", "1+1/0*w", "2"): ("ParseError", "zero denominator in '1/0'"),
+    ("gb", "presentations/w.alg", "--deg"): ("ParseError", "--deg needs a value"),
+    ("bogus", "presentations/w.alg"): ("usage", "unknown command 'bogus'"),
+    ("sklyanin",): ("usage", "sklyanin needs a subcommand"),
+    ("sklyanin", "bogus", "1", "2"): ("usage", "unknown sklyanin subcommand 'bogus'"),
+    ("sklyanin", "bogus", "--field", "GF(31)"): ("usage", "unknown sklyanin subcommand 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ARGUMENT_ERRORS))
 def test_argument_errors_exit_2(capsys, argv):
+    kind, detail = ARGUMENT_ERRORS[argv]
     argv = [str(CORPUS.parent / a) if a.startswith("presentations/") else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error" in json.loads(err)
+    detail = detail.replace("'presentations/", f"'{CORPUS}/")
+    assert json.loads(err)["error"] == {"kind": kind, "detail": detail}
 
 
 def test_zero_denominator_in_file_names_its_line(capsys, tmp_path):
@@ -330,3 +381,20 @@ def test_usage(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "usage" in out
+
+
+def test_usage_and_dispatch_tables_agree(capsys):
+    # every command the usage text lists dispatches, and every table row is listed
+    code, usage, err = run(capsys, "--help")
+    rows = [line.split() for line in usage.splitlines() if line.startswith("  ")]
+    commands = {row[0] for row in rows}
+    subcommands = {row[1] for row in rows if row[0] == "sklyanin"}
+    assert commands == set(cli._FILE_COMMANDS) | {"sklyanin"}
+    assert subcommands == set(cli._SKLYANIN_COMMANDS)
+    for cmd in sorted(commands - {"sklyanin"}):
+        code, out, err = run(capsys, cmd)
+        assert json.loads(err)["error"]["detail"] == "expected one presentation file, got arguments []"
+    for sub in sorted(subcommands):
+        code, out, err = run(capsys, "sklyanin", sub)
+        count = cli._SKLYANIN_COMMANDS[sub][0]
+        assert json.loads(err)["error"]["detail"] == f"sklyanin {sub} needs {count} scalar arguments"

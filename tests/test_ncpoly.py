@@ -258,20 +258,45 @@ def test_apply_matches_word_expansion(field):
 
 def test_render_parse_round_trip():
     rng = random.Random(13)
-    for field in (QQ, QQ_THETA):
+    for field in (QQ, QQ_THETA, GF(31)):
         for _ in range(60):
             if field is QQ:
                 coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(4)]
-            else:
-                from ncquad import ThetaRational
-
+            elif field is QQ_THETA:
                 coeffs = [
                     ThetaRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(4)
                 ]
+            else:
+                coeffs = [field.from_int(rng.randrange(31)) for _ in range(4)]
             f = NcPoly.from_pairs(field, 3, [(random_word(rng), c) for c in coeffs])
             if not f:
                 continue
             assert parse_poly(render_poly(f, NAMES), field, NAMES) == f
+
+
+def test_render_exact_strings():
+    gf = GF(31)
+    q, t = Fraction, ThetaRational
+    cases = [
+        (QQ, [], "0"),
+        (QQ, [((), q(-3, 2))], "-3/2"),
+        (QQ, [((X, Y), q(1)), ((), q(2))], "x*y + 2"),
+        (QQ, [((X, Y), q(-1)), ((Z,), q(1, 2))], "-x*y + 1/2*z"),
+        (QQ_THETA, [((), t(0, 1))], "w"),
+        (QQ_THETA, [((), t(0, -1))], "-w"),
+        (QQ_THETA, [((), t(0, 3))], "3*w"),
+        (QQ_THETA, [((), t(2, -1))], "2 - w"),
+        (QQ_THETA, [((X, Y), t(0, 1))], "w*x*y"),
+        (QQ_THETA, [((X,), t(0, q(-1, 2)))], "-1/2*w*x"),
+        (QQ_THETA, [((X, Y), t(1, 1))], "x*y + w*x*y"),
+        (QQ_THETA, [((X, Y), t(-1, -2)), ((Z,), t(0, 1))], "-x*y - 2*w*x*y + w*z"),
+        (gf, [((X, Y), gf.one), ((Z,), gf.from_int(30))], "x*y + 30*z"),
+        (gf, [((), gf.from_int(30)), ((), gf.from_int(2))], "1"),
+    ]
+    for field, pairs, text in cases:
+        f = NcPoly.from_pairs(field, 3, pairs)
+        assert render_poly(f, NAMES) == text
+        assert parse_poly(text, field, NAMES) == f
 
 
 def test_parse_juxtaposed_words():

@@ -233,6 +233,10 @@ def test_theta_literals():
         QQ_THETA.parse("1w")
     with pytest.raises(ParseError):
         QQ.parse("0.5")
+    for field, text in ((QQ_THETA, "w+1"), (QQ_THETA, "2*w*w"), (GF(31), "1/2")):
+        with pytest.raises(ParseError) as exc:
+            field.parse(text)
+        assert str(exc.value) == f"bad {field.name()} literal {text!r}"
 
 
 def test_zero_denominator_is_a_parse_error():
