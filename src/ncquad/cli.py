@@ -29,6 +29,7 @@ from .errors import AlgebraError, ParseError
 from .groebner import (  # noqa: F401
     Presentation,
     _graded_dims,
+    check_relation,
     complete,
     graded_dim_oracle,
     hilbert_coeffs,
@@ -56,7 +57,7 @@ def parse_presentation(text: str) -> Presentation:
     names = None
     order = None
     relations = []
-    potential_poly = potential_line = None
+    potential_poly = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,7 +74,7 @@ def parse_presentation(text: str) -> Presentation:
                 field = parse_field(rest)
             elif head == "gens":
                 names = tuple(rest.split())
-                if len(set(names)) != len(names) or not names:
+                if not names or len(set(names)) != len(names) or not all(n.isidentifier() for n in names):
                     raise ParseError("generators must be distinct identifiers")
             elif head == "order":
                 if names is None:
@@ -91,23 +92,27 @@ def parse_presentation(text: str) -> Presentation:
                 if {"rel", "potential"} <= seen:
                     raise ParseError("a file has either rel lines or a potential line")
                 poly = parse_poly(rest, field, names)
-                if head == "rel":
-                    relations.append(poly)
-                else:
-                    potential_poly, potential_line = poly, lineno
+                try:
+                    new = [poly] if head == "rel" else relations_from_potential(poly)
+                    for r in new:
+                        check_relation(r, field, len(names), names)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from None
+                relations += new
+                if head == "potential":
+                    potential_poly = poly
             else:
                 raise ParseError(f"unknown directive {head!r}")
+            # a generator named like a unit of the field would read back as the unit
+            clash = head in ("field", "gens") and field is not None and names and set(names) & field.units.keys()
+            if clash:
+                raise ParseError(f"generator {min(clash)!r} is a unit of {field.name()}")
         except ParseError as exc:
             if exc.line is None:
                 raise type(exc)(str(exc), line=lineno) from None
             raise
     if field is None or names is None:
         raise ParseError("file needs field and gens lines")
-    if potential_poly is not None:
-        try:
-            relations = relations_from_potential(potential_poly)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=potential_line) from None
     return Presentation(field, len(names), tuple(relations), order, names, potential_poly)
 
 

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatchError, HomogeneityError, IncompleteBasisError, MixedFieldsError
 from .linalg import SparseEchelon
-from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex
-from .scalars import _ModPBase
+from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex, render_poly
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,22 @@ class Presentation:
             object.__setattr__(self, "names", _default_names(self.ngens))
         object.__setattr__(self, "relations", tuple(self.relations))
         for r in self.relations:
-            if r.field != self.field:
-                raise MixedFieldsError("relation field differs from presentation field")
-            if r.ngens != self.ngens:
-                raise DimensionMismatchError(f"relation in {r.ngens} generators, presentation in {self.ngens}")
-            if not r:
-                raise ValueError("zero relation")
-            if not r.is_homogeneous():
-                raise HomogeneityError(f"relation {r!r} is not homogeneous")
-            if r.degree() < 1:
-                raise HomogeneityError("relations must have degree >= 1")
+            check_relation(r, self.field, self.ngens, self.names)
+
+
+def check_relation(r: NcPoly, field, ngens: int, names) -> None:
+    """Refuse what cannot be a relation of a presentation over `field` in the
+    generators `names`; the file parser runs it per line, to name the line."""
+    if r.field != field:
+        raise MixedFieldsError("relation field differs from presentation field")
+    if r.ngens != ngens:
+        raise DimensionMismatchError(f"relation in {r.ngens} generators, presentation in {ngens}")
+    if not r:
+        raise ValueError("zero relation")
+    if not r.is_homogeneous():
+        raise HomogeneityError(f"relation {render_poly(r, names)} is not homogeneous")
+    if r.degree() < 1:
+        raise HomogeneityError("relations must have degree >= 1")
 
 
 class LeadIndex:
@@ -61,8 +66,8 @@ class LeadIndex:
 
     `steps` counts the reduction steps taken through the index.  `tails`
     holds, per lead, the element's other terms with negated coefficients and
-    precedence keys; over GF(p) a negated coefficient is the int residue
-    p - v, not a field element.  An entry is built the first time a
+    precedence keys; over GF(p) a negated coefficient c is the int
+    p - int(c), not a field element.  An entry is built the first time a
     reduction rewrites with that element, so an index that never reduces
     holds none.
     """
@@ -96,7 +101,7 @@ class LeadIndex:
         return table
 
     def reduce(self, f: NcPoly) -> NcPoly:
-        return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self))
+        return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
 
 
 class GroebnerBasis:
@@ -170,7 +175,7 @@ def _find_redex(word, by_lead, fits):
     return None
 
 
-def _normal_form_terms(terms, index):
+def _normal_form_terms(terms, index, field):
     """Fully reduce a term dict, rewriting each word at its rightmost redex.
 
     Words are popped from a heap in descending monomial order; a step only
@@ -182,24 +187,24 @@ def _normal_form_terms(terms, index):
     completions.  A new word's heap key is spliced from the popped word's
     key and the tail term's precomputed key.
 
-    Over GF(p), told by the coefficients' type, the kernel works on plain
-    ints: a step adds c * (p - v) to a word with no reduction, and the sum
-    is reduced mod p once, when the word is popped (delayed reduction, as
-    in Monagan and Pearce's heap division); field elements are built only
-    for the output.  For every field a word whose coefficient sums to zero
-    is skipped at the pop.  Such a word is never rewritten, so the steps
-    are the same as with a zero test at every sum.
+    Over GF(p), told by `field.characteristic()` (0 for Q and Q(w)), the
+    kernel works on the residues `int(c)`: a step adds c * (p - int(ct)) to
+    a word with no reduction, and the sum is reduced mod p once, when the
+    word is popped (delayed reduction, as in Monagan and Pearce's heap
+    division); `field.from_int` builds elements only for the output.  For
+    every field a word whose coefficient sums to zero is skipped at the pop.
+    Such a word is never rewritten, so the steps are the same as with a zero
+    test at every sum.
     """
     if not terms:
         return {}
-    ctype = type(next(iter(terms.values())))
-    p = ctype.p if issubclass(ctype, _ModPBase) else 0
+    p = field.characteristic()
     by_lead = index.by_lead
     tails = index.tails
     prec = index.order.precedence
     fits = index.fits(max(map(len, terms)))
     out = {}
-    work = {w: c.v for w, c in terms.items()} if p else dict(terms)
+    work = {w: int(c) for w, c in terms.items()} if p else dict(terms)
     heap = [(-len(w), tuple([prec[g] for g in w]), w) for w in work]
     heapq.heapify(heap)
     steps = 0
@@ -220,7 +225,7 @@ def _normal_form_terms(terms, index):
         if tail is None:
             terms_g = by_lead[lead].terms.items()
             tail = tails[lead] = [
-                (t, p - ct.v if p else -ct, tuple([prec[x] for x in t])) for t, ct in terms_g if t != lead
+                (t, p - int(ct) if p else -ct, tuple([prec[x] for x in t])) for t, ct in terms_g if t != lead
             ]
         j = i + len(lead)
         left, right = w[:i], w[j:]
@@ -235,7 +240,7 @@ def _normal_form_terms(terms, index):
                 work[u] = acc + c * nct
     index.steps += steps
     if p:
-        return {w: ctype(c) for w, c in out.items()}
+        return {w: field.from_int(c) for w, c in out.items()}
     return out
 
 

@@ -16,6 +16,7 @@ Coefficients are read and written by their field (`Field.parse`,
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -75,15 +76,13 @@ class NcPoly:
 
     @classmethod
     def from_pairs(cls, field, ngens, pairs):
+        """Sum of (word, coefficient) pairs: the one accumulator behind +, -
+        and *.  The constructor drops the words whose sum is zero."""
         terms = {}
         for w, c in pairs:
             w = tuple(w)
             acc = terms.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
+            terms[w] = c if acc is None else acc + c
         return cls(field, ngens, terms)
 
     def _check(self, other):
@@ -109,18 +108,12 @@ class NcPoly:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[w] = acc
-            else:
-                del terms[w]
-        return NcPoly(self.field, self.ngens, terms)
+        return NcPoly.from_pairs(self.field, self.ngens, itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        negated = [(w, -c) for w, c in other.terms.items()]
+        return NcPoly.from_pairs(self.field, self.ngens, itertools.chain(self.terms.items(), negated))
 
     def __neg__(self):
         return NcPoly(self.field, self.ngens, {w: -c for w, c in self.terms.items()})
@@ -128,18 +121,8 @@ class NcPoly:
     def __mul__(self, other):
         if isinstance(other, NcPoly):
             self._check(other)
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    acc = terms.get(w)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        terms[w] = acc
-                    else:
-                        del terms[w]
-            return NcPoly(self.field, self.ngens, terms)
+            products = [(w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()]
+            return NcPoly.from_pairs(self.field, self.ngens, products)
         return self.scale(other)
 
     def __rmul__(self, other):

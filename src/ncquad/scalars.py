@@ -9,6 +9,9 @@ body each of reflected subtraction, division and powers, in `_Element`.
 Field objects describe the domain, build and parse elements, and hand out
 the cube root of unity where one exists.
 
+`int(x)` of a GF(p) element is its residue in [0, p); with `Field.from_int`
+it lets other modules carry residues as ints without knowing the storage.
+
 Text syntax for scalars (presentation files and the command line): an
 integer, `num/den`, or `a+b*w` / `a-b*w` where `w` denotes the cube root.
 Each field owns the text of its coefficients: `Field.parts` splits an
@@ -208,6 +211,9 @@ class _ModPBase(_Element):
 
     def __bool__(self):
         return self.v != 0
+
+    def __int__(self):
+        return self.v
 
 
 _modp_classes: dict[int, type] = {}

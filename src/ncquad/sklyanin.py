@@ -6,10 +6,11 @@ decision procedure with its 24-element group.
 Every witness substitution the layer returns is verified by transporting the
 relation space and comparing row spaces, so a wrong formula cannot survive
 silently; `classify` and `are_isomorphic` each check their witness once, at
-their single return.  One breadth-first walk (`_walk`) closes the triple moves
-on rays for the witness search, the pair maps for the orbit and the
-generators for the group; it records the edge that first reached each point,
-and the substitutions of the moves are built only for a path that is composed.
+their single return.  Each move is one (map, witness) entry of
+`_triple_moves` or `_pair_moves`.  One breadth-first walk (`_walk`) closes
+the triple moves on rays for the witness search, the pair moves for the
+orbit and the pair witnesses for the group; it records the edge that first
+reached each point, and witnesses are composed only along a path asked for.
 A ray is a triple divided by its first nonzero parameter: the three relations
 have pairwise disjoint supports, so two triples present the same relation
 space exactly when their rays are equal.
@@ -132,53 +133,38 @@ def _verified(sub, source, target, what):
 
 def root1_sub(triple: ParamTriple):
     """(p, q, r) -> (p, q, theta r) via z -> theta^2 z."""
-    f = triple.field
-    out = _triple_maps(f)[0](triple)
-    return out, _verified(_triple_subs(f)[0], triple.presentation(), out.presentation(), "root1")
+    return _checked_move(triple, 0, "root1")
 
 
 def root2_sub(triple: ParamTriple):
     """(p, q, r) -> (t^2 p + t q + r, t p + t^2 q + r, p + q + r) for t = theta,
     via x -> x+y+z, y -> x + t y + t^2 z, z -> x + t^2 y + t z."""
-    f = triple.field
-    out = _triple_maps(f)[1](triple)
-    return out, _verified(_triple_subs(f)[1], triple.presentation(), out.presentation(), "root2")
+    return _checked_move(triple, 1, "root2")
 
 
-def _swap_xy_sub(field):
+def _checked_move(triple, index, what):
+    """The image of `triple` under one triple move, and its verified witness."""
+    move, witness = _triple_moves(triple.field)[index]
+    out = move(triple)
+    return out, _verified(witness, triple.presentation(), out.presentation(), what)
+
+
+def _triple_moves(field):
+    """The elementary moves on triples as (map, witness) pairs: root1 and
+    root2 for t = theta, the same for t = theta^2, then the x/y swap."""
     one, zero = field.one, field.zero
-    return LinearSub.from_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
-
-
-def _triple_maps(field):
-    """The elementary moves on triples: root1 and root2 for t = theta, the
-    same for t = theta^2, then the x/y swap.  `_triple_subs` gives their
-    witnesses in the same order."""
-    maps = []
     th = field.theta()
+    moves = []
     for t in (th, th * th):
         t2 = t * t
-        maps.append(lambda s, t=t: ParamTriple(field, s.p, s.q, t * s.r))
-        maps.append(
-            lambda s, t=t, t2=t2: ParamTriple(
-                field, t2 * s.p + t * s.q + s.r, t * s.p + t2 * s.q + s.r, s.p + s.q + s.r
-            )
-        )
-    maps.append(lambda s: ParamTriple(field, s.q, s.p, s.r))
-    return maps
-
-
-def _triple_subs(field):
-    """Witness substitutions of the triple moves, in the order of `_triple_maps`."""
-    one, zero = field.one, field.zero
-    subs = []
-    th = field.theta()
-    for t in (th, th * th):
-        t2 = t * t
-        subs.append(LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]]))
-        subs.append(LinearSub.from_columns(field, [[one, one, one], [one, t, t2], [one, t2, t]]))
-    subs.append(_swap_xy_sub(field))
-    return subs
+        root1 = LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, t2]])
+        root2 = LinearSub.from_columns(field, [[one, one, one], [one, t, t2], [one, t2, t]])
+        moves.append((lambda s, t=t: ParamTriple(field, s.p, s.q, t * s.r), root1))
+        moves.append((lambda s, t=t, t2=t2: ParamTriple(
+            field, t2 * s.p + t * s.q + s.r, t * s.p + t2 * s.q + s.r, s.p + s.q + s.r), root2))
+    swap = LinearSub.from_columns(field, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    moves.append((lambda s: ParamTriple(field, s.q, s.p, s.r), swap))
+    return moves
 
 
 def _walk(start, moves):
@@ -202,16 +188,16 @@ def _walk(start, moves):
             frontier.append(node)
 
 
-def _path_witness(field, edges, node, subs):
+def _path_witness(field, edges, node, moves):
     """The substitution along the walk path from the root of `edges` to
-    `node`: the moves' `subs`, first move first, composed onto the identity."""
+    `node`: the witnesses of the `moves` taken, composed in walk order."""
     indices = []
     while edges[node] is not None:
         node, index = edges[node]
         indices.append(index)
     acc = LinearSub.identity(field, 3)
     for index in reversed(indices):
-        acc = subs[index].compose(acc)
+        acc = moves[index][1].compose(acc)
     return acc
 
 
@@ -231,10 +217,10 @@ def _search_witness(source: ParamTriple, target: ParamTriple) -> LinearSub:
     node per relation space.  The caller verifies the result."""
     f = source.field
     target_ray = _ray(target)
-    moves = [lambda t, move=move: _ray(move(t)) for move in _triple_maps(f)]
-    for edges, ray in _walk(_ray(source), moves):
+    moves = _triple_moves(f)
+    for edges, ray in _walk(_ray(source), [lambda t, move=move: _ray(move(t)) for move, _ in moves]):
         if ray == target_ray:
-            return _path_witness(f, edges, ray, _triple_subs(f))
+            return _path_witness(f, edges, ray, moves)
     raise AssertionError("no witness found; classification tables are inconsistent")
 
 
@@ -438,6 +424,7 @@ def coefficient_recursion(field, alpha, gamma, kmax: int):
     one = field.one
     a, b = field.zero, field.zero
     states = []
+    # imported here so that a wrapper installed at linalg.nullspace sees the call
     from .linalg import nullspace
 
     for k in range(kmax):
@@ -501,12 +488,13 @@ def expected_normal_words(d: int, sigma_k=None):
 # the isomorphism group on normalized pairs
 
 
-def _pair_maps(field):
-    """The two generating maps on normalized pairs: (a, b) -> (w a, w b) and
-    the Möbius-type mix map."""
+def _pair_moves(field):
+    """The two generating moves on normalized pairs as (map, witness) pairs:
+    (a, b) -> (w a, w b) and the Möbius-type mix map.  They are root1 and root2
+    at t = theta^2 read on the chart r = 1, written out because that is faster."""
     th = field.theta()
     th2 = th * th
-    one = field.one
+    one, zero = field.one, field.zero
 
     def scale_map(pair):
         a, b = pair
@@ -519,28 +507,24 @@ def _pair_maps(field):
             raise DegenerateDenominatorError("a + b + 1 = 0 during orbit closure")
         return ((th * a + th2 * b + one) / d, (th2 * a + th * b + one) / d)
 
-    return (scale_map, mix_map)
-
-
-def _pair_subs(field):
-    """Witness substitutions of the two pair maps, in the order of `_pair_maps`."""
-    th = field.theta()
-    th2 = th * th
-    one, zero = field.one, field.zero
-    scale_sub = LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, th]])
-    # the symmetric theta matrix itself transports onto the swapped image
-    # pair, so the witness for the map as stated is its inverse
-    mix_sub = LinearSub.from_columns(field, [[th, th2, one], [th2, th, one], [one, one, one]]).inverse()
-    return (scale_sub, mix_sub)
+    # the symmetric theta matrix S transports onto the swapped image pair, so
+    # the mix map's witness is S^-1: S with theta and theta^2 exchanged, over 3.
+    # Both witnesses are symmetric, so their rows are their columns.
+    third = one / 3
+    u, v = th2 * third, th * third
+    return (
+        (scale_map, LinearSub(field, ((one, zero, zero), (zero, one, zero), (zero, zero, th)))),
+        (mix_map, LinearSub(field, ((u, v, third), (v, u, third), (third, third, third)))),
+    )
 
 
 def _orbit_edges(field, a, b):
     """The walk's edges over the orbit of (a, b) under the two pair maps:
-    member -> (parent, map index), the start -> None.  `_path_witness` with
-    `_pair_subs` composes the substitution for one member."""
+    member -> (parent, move index), the start -> None.  `_path_witness` with
+    `_pair_moves` composes the substitution for one member."""
     if not in_m_set(field, a, b):
         raise PreconditionViolatedError("(a, b) outside the admissible set")
-    for edges, pair in _walk((a, b), _pair_maps(field)):
+    for edges, pair in _walk((a, b), [move for move, _ in _pair_moves(field)]):
         if not in_m_set(field, *pair):
             raise AssertionError(f"orbit left the admissible set at {pair}")
         if len(edges) > 24:
@@ -602,7 +586,7 @@ def group_invariants() -> GroupInvariants:
     pair maps, realized exactly by their witnesses as projective 3x3 matrices
     over Q(w), and the same invariants of SL2(F3) by brute-force enumeration."""
     field = QQ_THETA
-    gens = [_proj_normalize(sub.matrix, field) for sub in _pair_subs(field)]
+    gens = [_proj_normalize(sub.matrix, field) for _, sub in _pair_moves(field)]
     identity = LinearSub.identity(field, 3).matrix
 
     def mul(m, n):
@@ -672,14 +656,14 @@ def are_isomorphic(t1: ParamTriple, t2: ParamTriple) -> IsoDecision:
         if c1.alpha == c2.alpha:
             middle, reason = LinearSub.identity(f, 3), f"quantum parameters equal ({trace})"
         elif c1.alpha * c2.alpha == f.one:
-            middle, reason = _swap_xy_sub(f), f"quantum parameters reciprocal ({trace})"
+            middle, reason = _triple_moves(f)[-1][1], f"quantum parameters reciprocal ({trace})"
         else:
             return IsoDecision(False, "quantum parameters neither equal nor reciprocal")
     elif c1.kind is SklyaninKind.GENERIC_M1:
         orbit = _orbit_edges(f, *c1.pair)
         if c2.pair not in orbit:
             return IsoDecision(False, "normalized pairs lie in different orbits")
-        middle, reason = _path_witness(f, orbit, c2.pair, _pair_subs(f)), "normalized pairs lie in one orbit"
+        middle, reason = _path_witness(f, orbit, c2.pair, _pair_moves(f)), "normalized pairs lie in one orbit"
     else:
         middle, reason = LinearSub.identity(f, 3), f"both {c1.kind.value}"
     witness = c2.witness.inverse().compose(middle).compose(c1.witness)

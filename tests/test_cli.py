@@ -12,6 +12,7 @@ import pytest
 from ncquad import CharThreeError, HomogeneityError, ParseError, UnknownGeneratorError
 from ncquad import cli
 from ncquad.cli import parse_presentation, render_presentation, run_command
+from ncquad.groebner import complete
 from ncquad.ncpoly import parse_poly
 
 CORPUS = Path(__file__).resolve().parent.parent / "presentations"
@@ -66,7 +67,7 @@ REPEATED_DIRECTIVES = [
     ("field Q\ngens x y\nrel x*y - y*y\ngens y x\n", 4),
     ("field Q\ngens x y\nrel x*y - y*y\nfield GF(7)\n", 4),
     ("field Q\ngens x y\norder y > x\norder x > y\nrel x*y\n", 4),
-    ("field Q\ngens x y\npotential x*y*x\npotential y*y*y\n", 4),
+    ("field Q\ngens x y\npotential x*x*y + x*y*x + y*x*x\npotential y*y*y\n", 4),
 ]
 NOT_INVARIANT_POTENTIAL = "field Q\ngens x y\n# x*x*y alone is not cyclically invariant\npotential x*x*y\n"
 # (file text, error type, line or None, detail as printed)
@@ -90,6 +91,19 @@ REJECTED_FILES = [
      "a file has either rel lines or a potential line"),
     ("field Q\ngens x y\npotential x*x*x\nrel x*y\n", ParseError, 4,
      "a file has either rel lines or a potential line"),
+    # each relation is checked at its line, and shown in the file's names
+    ("field Q\ngens x y\nrel x*y + x\n", HomogeneityError, 3, "relation x*y + x is not homogeneous"),
+    ("field Q\ngens x y\nrel y*y - y*y\n", ParseError, 3, "zero relation"),
+    ("field Q\ngens x y\nrel 3\n", HomogeneityError, 3, "relations must have degree >= 1"),
+    ("field Q\ngens a b\nrel a*b\nrel a*a*a + b\n", HomogeneityError, 4, "relation a*a*a + b is not homogeneous"),
+    ("field Q\ngens x y\npotential x*x*x + y*y*y + x*x\n", HomogeneityError, 3,
+     "relation x*x + x is not homogeneous"),
+    # a generator name must not read as a scalar or a unit of the field,
+    # whichever of the field and gens lines comes first
+    ("field Q\ngens x y 2\n", ParseError, 2, "generators must be distinct identifiers"),
+    ("gens x y 2\nfield Q\n", ParseError, 1, "generators must be distinct identifiers"),
+    ("field Q(w)\ngens w x\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
+    ("gens w x\nfield Q(w)\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
 ]
 
 
@@ -99,8 +113,6 @@ def test_parse_errors():
             parse_presentation(text)
         assert type(exc.value) is kind and exc.value.line == line, text
         assert str(exc.value) == (detail if line is None else f"line {line}: {detail}")
-    with pytest.raises(HomogeneityError):
-        parse_presentation("field Q\ngens x y\nrel x*y + x\n")
     with pytest.raises(CharThreeError):
         parse_presentation("field GF(3)\ngens x y\nrel x*y\n")
     with pytest.raises(ParseError):
@@ -114,6 +126,15 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="not cyclically invariant") as exc:
         parse_presentation(NOT_INVARIANT_POTENTIAL)
     assert type(exc.value) is ParseError and exc.value.line == 4
+
+
+def test_gb_output_parses_back(capsys):
+    for path in sorted(CORPUS.glob("*.alg")):
+        pres = parse_presentation(path.read_text())
+        code, out, err = run(capsys, "gb", str(path), "--deg", "6")
+        assert code == 0, path
+        polys = [parse_poly(g["poly"], pres.field, pres.names) for g in json.loads(out)["gb"]]
+        assert polys == list(complete(pres, 6).elements), path
 
 
 def test_hilbert_command(capsys):

@@ -359,11 +359,13 @@ def test_sklyanin_lower_bound():
             assert h[n] >= (n + 1) * (n + 2) // 2
 
 
-def leftmost_normal_form_terms(terms, index):
+def leftmost_normal_form_terms(terms, index, field):
     """Reference reducer: the leftmost position first, and at a position the
     longest lead, with the heap key rebuilt for every new word.  The kernel
     in `groebner` rewrites at the rightmost redex instead; below the
-    certified degree both must give the same normal forms and bases."""
+    certified degree both must give the same normal forms and bases.  It
+    takes the kernel's arguments but does field-element arithmetic at every
+    step, so it never reads `field`."""
     by_lead, lengths, prec = index.by_lead, index.lengths, index.order.precedence
     out, work = {}, dict(terms)
     heap = [(-len(w), tuple(prec[g] for g in w), w) for w in work]

@@ -38,6 +38,30 @@ def test_poly_arith_examples():
     assert poly("x + y") * poly("x - y") == poly("x*x - x*y + y*x - y*y")
 
 
+def test_arith_matches_reference_sums():
+    # +, - and * all sum through from_pairs; the reference adds word by word
+    # and drops zeros at the end, and GF(7) makes many sums cancel
+    f7 = GF(7)
+    rng = random.Random(11)
+
+    def random_poly():
+        words = [tuple(rng.randrange(2) for _ in range(rng.randint(0, 3))) for _ in range(6)]
+        return NcPoly(f7, 2, {w: f7.from_int(rng.randrange(7)) for w in words})
+
+    def reference(pairs):
+        out = {}
+        for w, c in pairs:
+            out[w] = out.get(w, f7.zero) + c
+        return {w: c for w, c in out.items() if c}
+
+    for _ in range(200):
+        f, g = random_poly(), random_poly()
+        assert (f + g).terms == reference([*f.terms.items(), *g.terms.items()])
+        assert (f - g).terms == reference([*f.terms.items(), *((w, -c) for w, c in g.terms.items())])
+        assert (f * g).terms == reference([(u + v, a * b) for u, a in f.terms.items() for v, b in g.terms.items()])
+        assert not f - f
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFieldsError):
         poly("x") + poly("x", QQ_THETA)

@@ -49,3 +49,22 @@ def test_sklyanin_calls_go_through_wrapped_sites(tracing):
     assert tracer.counts["sklyanin.classify.calls"] == 3
     assert tracer.counts["ncpoly.apply_sub.calls"] > 0
     assert tracer.counts["linalg.rref.calls"] > 0
+
+
+def test_recursion_nullspace_goes_through_wrapped_site(tracing):
+    # coefficient_recursion imports nullspace when it runs; a module-level
+    # import would bind the unwrapped function and these counts would vanish
+    from ncquad import GF, sklyanin
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.open_op(0, "probe")
+        f31 = GF(31)
+        states = sklyanin.coefficient_recursion(f31, f31.from_int(4), f31.from_int(4), 3)
+        tracer.close_op()
+    finally:
+        tracer.uninstall()
+    assert states[-1].outcome is sklyanin.RecursionOutcome.CONTINUE
+    assert tracer.counts["sklyanin.coefficient_recursion.calls"] == 1
+    assert tracer.counts["linalg.nullspace.calls"] == 3

@@ -7,17 +7,25 @@ from fractions import Fraction
 
 import pytest
 
-from ncquad import GF, QQ, QQ_THETA, NoCubeRootError, PreconditionViolatedError, ThetaRational
+from ncquad import (
+    GF,
+    QQ,
+    QQ_THETA,
+    DegenerateDenominatorError,
+    NoCubeRootError,
+    PreconditionViolatedError,
+    ThetaRational,
+)
 from ncquad import sklyanin
 from ncquad.groebner import complete, graded_dim_oracle, hilbert_coeffs, normal_words
 from ncquad.linalg import row_space_equal, rref
 from ncquad.ncpoly import LinearSub, apply_sub, degree_lex
 from ncquad.sklyanin import (
     _orbit_edges,
-    _pair_maps,
-    _pair_subs,
+    _pair_moves,
     _path_witness,
     _ray,
+    _triple_moves,
     _verified,
     ParamTriple,
     RecursionOutcome,
@@ -462,6 +470,36 @@ def test_orbit_matches_map_family():
     assert family == set(iso_group_orbit(f, a, b))
 
 
+PAIR_GROUP_FIELDS = [QQ_THETA, GF(7), GF(31), GF(1000003)]
+
+
+@pytest.mark.parametrize("field", PAIR_GROUP_FIELDS, ids=["Qw", "GF7", "GF31", "GF1000003"])
+def test_pair_moves_are_triple_moves_on_the_chart_r_one(field):
+    # the scale and mix maps are root1 and root2 at t = theta^2 read on r = 1;
+    # where root2 sends r to 0, a + b + 1 = 0 and the mix map refuses
+    rng = random.Random(41)
+    one = field.one
+    th = field.theta()
+    root1, root2 = _triple_moves(field)[2:4]
+    (scale_map, scale_sub), (mix_map, mix_sub) = _pair_moves(field)
+    pairs = [(random_scalar(field, rng), random_scalar(field, rng)) for _ in range(140)]
+    pairs += [(a, -a - one) for a, _ in pairs[:10]]
+    degenerate = 0
+    for a, b in pairs:
+        for pair_map, (triple_map, _) in ((scale_map, root1), (mix_map, root2)):
+            image = triple_map(ParamTriple(field, a, b, one))
+            if image.r:
+                assert pair_map((a, b)) == (image.p / image.r, image.q / image.r)
+            else:
+                degenerate += 1
+                with pytest.raises(DegenerateDenominatorError):
+                    pair_map((a, b))
+    assert degenerate >= 10
+    assert scale_sub == root1[1]
+    symmetric = LinearSub.from_columns(field, [[th, th * th, one], [th * th, th, one], [one, one, one]])
+    assert mix_sub.compose(symmetric) == LinearSub.identity(field, 3)
+
+
 def test_orbit_rejects_inadmissible_pair():
     f = QQ_THETA
     with pytest.raises(PreconditionViolatedError):
@@ -516,6 +554,28 @@ def test_are_isomorphic_witnesses_transport():
         check_witness(dec.witness, t1, t2)
 
 
+def reference_pair_moves(field):
+    """The scale and mix maps with their witnesses, written out apart from
+    `sklyanin._pair_moves`; the mix witness is the inverse of the symmetric
+    theta matrix, found by elimination."""
+    th = field.theta()
+    th2 = th * th
+    one, zero = field.one, field.zero
+
+    def scale_map(pair):
+        a, b = pair
+        return (th * a, th * b)
+
+    def mix_map(pair):
+        a, b = pair
+        d = a + b + one
+        return ((th * a + th2 * b + one) / d, (th2 * a + th * b + one) / d)
+
+    scale_sub = LinearSub.from_columns(field, [[one, zero, zero], [zero, one, zero], [zero, zero, th]])
+    mix_sub = LinearSub.from_columns(field, [[th, th2, one], [th2, th, one], [one, one, one]]).inverse()
+    return [(scale_map, scale_sub), (mix_map, mix_sub)]
+
+
 def eager_orbit_witnesses(field, a, b):
     """Reference closure that composes every member's witness as the
     breadth-first search reaches it."""
@@ -524,7 +584,7 @@ def eager_orbit_witnesses(field, a, b):
     frontier = deque([start])
     while frontier:
         pair = frontier.popleft()
-        for fn, sub in zip(_pair_maps(field), _pair_subs(field)):
+        for fn, sub in reference_pair_moves(field):
             nxt = fn(pair)
             if nxt not in out:
                 out[nxt] = sub.compose(out[pair])
@@ -560,7 +620,7 @@ def test_orbit_path_witnesses_transport(field):
         assert list(edges) == list(eager)
         source = ParamTriple(field, a, b, field.one)
         for pair in edges:
-            witness = _path_witness(field, edges, pair, _pair_subs(field))
+            witness = _path_witness(field, edges, pair, _pair_moves(field))
             assert witness.matrix == eager[pair].matrix
             check_witness(witness, source, ParamTriple(field, *pair, field.one))
 
@@ -764,7 +824,7 @@ def test_identity_witness_still_checks_the_span(field, monkeypatch):
         _verified(identity, source, other, "identity")
     assert calls == []
     with pytest.raises(AssertionError):
-        _verified(sklyanin._swap_xy_sub(field), source, source, "swap")
+        _verified(reference_swap(field), source, source, "swap")
     assert len(calls) == len(source.relations)
 
 
