@@ -71,7 +71,10 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(f"repeated {head} line")
             seen.add(head)
             if head == "field":
-                field = parse_field(rest)
+                try:
+                    field = parse_field(rest)
+                except ValueError as exc:  # GF(n) with n not a prime below 10^14
+                    raise ParseError(str(exc)) from None
             elif head == "gens":
                 names = tuple(rest.split())
                 if not names or len(set(names)) != len(names) or not all(n.isidentifier() for n in names):

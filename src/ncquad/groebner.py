@@ -64,21 +64,31 @@ def check_relation(r: NcPoly, field, ngens: int, names) -> None:
 class LeadIndex:
     """Elements keyed by leading word, with the lead lengths longest first.
 
-    `steps` counts the reduction steps taken through the index.  `tails`
-    holds, per lead, the element's other terms with negated coefficients and
-    precedence keys; over GF(p) a negated coefficient c is the int
-    p - int(c), not a field element.  An entry is built the first time a
-    reduction rewrites with that element, so an index that never reduces
-    holds none.
+    `steps` counts the reduction steps taken through the index.
+
+    The reduction kernel carries each word as one int.  With B = ngens + 1,
+    generator g is the digit ngens - rank(g), which lies in 1..ngens, and
+    the word g_1...g_n is the base-B number with digits g_1, ..., g_n, most
+    significant first.  So distinct words, of any lengths, have distinct
+    codes, deg-lex order is integer order, and the empty word is 0.  The
+    first reduction builds the packed tables (`tables`): `codes` sends the
+    code of each lead to its element, and `tails` holds, per lead code, the
+    element's other terms as (code, B^length, negated coefficient); over
+    GF(p) a negated coefficient c is the int p - int(c), not a field
+    element.  A tail is built the first time a reduction rewrites with its
+    element.  An index that never reduces holds none of this.
+
+    The index decodes each word it outputs once and, over GF(p), builds one
+    element per residue, so the normal forms it returns and the elements
+    `monic` makes share their word tuples and coefficient objects.
     """
 
     def __init__(self, order, elements=()):
         self.order = order
         self.by_lead = {}
         self.lengths = []
-        self.tails = {}
         self.steps = 0
-        self._fits = []
+        self.codes = None
         for g in elements:
             self.add(g)
 
@@ -86,22 +96,105 @@ class LeadIndex:
         """Index g under its leading word, replacing any element with that lead."""
         lead = g.leading_word(self.order)
         self.by_lead[lead] = g
-        self.tails.pop(lead, None)
         if len(lead) not in self.lengths:
             self.lengths.append(len(lead))
             self.lengths.sort(reverse=True)
-            self._fits = []
+            self._suffixes = []  # its rows depend on the lead lengths
+        if self.codes is not None:
+            code = self.encode(lead)
+            self.codes[code] = g
+            self.tails.pop(code, None)
         return lead
 
-    def fits(self, n):
-        """Entry r, for r <= n: the lead lengths of at most r letters, longest first."""
-        table = self._fits
-        for r in range(len(table), n + 1):
-            table.append(tuple([L for L in self.lengths if L <= r]))
-        return table
+    def tables(self, n):
+        """(codes, tails, suffixes) for words of at most n letters.
+
+        `suffixes` has one row per suffix length r, from the shortest lead
+        length to n: B^(r-1), which a word of at least r letters reaches,
+        B^r, and B^(r - L) for the lead lengths L <= r, longest first, the
+        divisors that cut a lead of L letters off the front of the suffix.
+        It and the powers of B grow on demand.
+        """
+        if self.codes is None:
+            prec = self.order.precedence
+            self._base = len(prec) + 1
+            self._digit = [len(prec) - rank for rank in prec]
+            self._letter = [None] * self._base
+            for g, d in enumerate(self._digit):
+                self._letter[d] = g
+            self._powers = [1]
+            self._suffixes = []
+            self._words = {}
+            self._elements = {}
+            self.codes = {self.encode(lead): g for lead, g in self.by_lead.items()}
+            self.tails = {}
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1] * self._base)
+        rows = self._suffixes
+        shortest = self.lengths[-1] if self.lengths else 1
+        for r in range(shortest + len(rows), n + 1):
+            rows.append((powers[r - 1], powers[r], tuple([powers[r - L] for L in self.lengths if L <= r])))
+        return self.codes, self.tails, rows
+
+    def encode(self, word) -> int:
+        base, digit = self._base, self._digit
+        code = 0
+        for g in word:
+            code = code * base + digit[g]
+        return code
+
+    def tail(self, code, p):
+        """The packed tail of the element whose lead has this code."""
+        g = self.codes[code]
+        lead = g.leading_word(self.order)
+        powers, encode = self._powers, self.encode
+        self.tails[code] = tail = [
+            (encode(t), powers[len(t)], p - int(c) if p else -c) for t, c in g.terms.items() if t != lead
+        ]
+        return tail
+
+    def unpack(self, out, field):
+        """Terms of a packed normal form: words decoded once per index, and
+        over GF(p) one element per residue."""
+        words, base, letter = self._words, self._base, self._letter
+        terms = {}
+        for code, c in out.items():
+            w = words.get(code)
+            if w is None:
+                digits = []
+                rest = code
+                while rest:
+                    rest, d = divmod(rest, base)
+                    digits.append(letter[d])
+                w = words[code] = tuple(reversed(digits))
+            terms[w] = c
+        if field.characteristic():
+            return self._share(terms, field)
+        return terms
+
+    def _share(self, terms, field):
+        """GF(p) terms with residue values, as one element per residue."""
+        elements = self._elements
+        for w, c in terms.items():
+            e = elements.get(c)
+            if e is None:
+                e = elements[c] = field.from_int(c)
+            terms[w] = e
+        return terms
 
     def reduce(self, f: NcPoly) -> NcPoly:
         return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
+
+    def monic(self, f: NcPoly) -> NcPoly:
+        """f divided by its leading coefficient; over GF(p) the coefficients
+        are the index's elements."""
+        p = f.field.characteristic()
+        if not p:
+            return f.monic(self.order)
+        self.tables(0)  # the element table
+        inv = pow(int(f.leading_coeff(self.order)), -1, p)
+        return NcPoly(f.field, f.ngens, self._share({w: int(c) * inv % p for w, c in f.terms.items()}, f.field))
 
 
 class GroebnerBasis:
@@ -160,94 +253,92 @@ class DegreeStats(NamedTuple):
     redundant: int
 
 
-def _find_redex(word, by_lead, fits):
-    """Rightmost start position first; at a position, the longest lead wins.
+def _find_redex(code, codes, suffixes):
+    """The redex of a packed word: the rightmost start first, and at a start
+    the longest lead.
 
-    `fits[r]` lists the lead lengths of at most r letters, longest first, so
-    a lead that would run past the end of the word is never looked up.
+    The suffix of r letters is code mod B^r, and the lead of L letters at
+    its front is that suffix divided by B^(r - L), so a lead that would run
+    past the end of the word is never looked up.  Returns the lead's code,
+    B^r and B^(r - L), or None for a normal word.
     """
-    n = len(word)
-    for i in range(n - 1, -1, -1):
-        for L in fits[n - i]:
-            lead = word[i : i + L]
-            if lead in by_lead:
-                return i, lead
+    for low, high, divisors in suffixes:
+        if code < low:  # the word is shorter than the suffix
+            return None
+        suffix = code % high
+        for q in divisors:
+            if (lead := suffix // q) in codes:
+                return lead, high, q
     return None
 
 
 def _normal_form_terms(terms, index, field):
     """Fully reduce a term dict, rewriting each word at its rightmost redex.
 
-    Words are popped from a heap in descending monomial order; a step only
+    Words are carried as their packed codes (`LeadIndex`) and popped from a
+    heap of negated codes, so in descending monomial order; a step only
     creates strictly smaller words, so a word is final when popped.  Modulo
     a basis that is complete through the degree of the input, the normal
     form is unique (Bergman's diamond lemma), so the redex choice changes
     the number of steps, not the result.  Rewriting at the right end takes
     about a third of the steps of the leftmost choice on the staircase
-    completions.  A new word's heap key is spliced from the popped word's
-    key and the tail term's precomputed key.
+    completions.  A step writes w = left.lead.right as
+    u = (left * B^|t| + t) * B^|right| + right for each tail term t.
 
     Over GF(p), told by `field.characteristic()` (0 for Q and Q(w)), the
     kernel works on the residues `int(c)`: a step adds c * (p - int(ct)) to
     a word with no reduction, and the sum is reduced mod p once, when the
     word is popped (delayed reduction, as in Monagan and Pearce's heap
-    division); `field.from_int` builds elements only for the output.  For
-    every field a word whose coefficient sums to zero is skipped at the pop.
-    Such a word is never rewritten, so the steps are the same as with a zero
-    test at every sum.
+    division).  The index decodes the output words and builds the output
+    elements, each once.  For every field a word whose coefficient sums to
+    zero is skipped at the pop.  Such a word is never rewritten, so the
+    steps are the same as with a zero test at every sum.
     """
     if not terms:
         return {}
     p = field.characteristic()
-    by_lead = index.by_lead
-    tails = index.tails
-    prec = index.order.precedence
-    fits = index.fits(max(map(len, terms)))
-    out = {}
-    work = {w: int(c) for w, c in terms.items()} if p else dict(terms)
-    heap = [(-len(w), tuple([prec[g] for g in w]), w) for w in work]
+    codes, tails, suffixes = index.tables(max(map(len, terms)))
+    encode = index.encode
+    work = {encode(w): int(c) if p else c for w, c in terms.items()}
+    heap = [-u for u in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    out = {}
     steps = 0
     while heap:
-        _, key, w = heapq.heappop(heap)
-        c = work.pop(w)
+        code = -heappop(heap)
+        c = work.pop(code)
         if p:
             c %= p
         if not c:
             continue
-        hit = _find_redex(w, by_lead, fits)
+        hit = _find_redex(code, codes, suffixes)
         if hit is None:
-            out[w] = c
+            out[code] = c
             continue
         steps += 1
-        i, lead = hit
+        lead, high, q = hit
         tail = tails.get(lead)
         if tail is None:
-            terms_g = by_lead[lead].terms.items()
-            tail = tails[lead] = [
-                (t, p - int(ct) if p else -ct, tuple([prec[x] for x in t])) for t, ct in terms_g if t != lead
-            ]
-        j = i + len(lead)
-        left, right = w[:i], w[j:]
-        key_left, key_right = key[:i], key[j:]
-        for t, nct, key_t in tail:
-            u = left + t + right
+            tail = index.tail(lead, p)
+        left, right = code // high, code % q
+        for t, shift, nct in tail:
+            u = (left * shift + t) * q + right
             acc = work.get(u)
             if acc is None:
-                heapq.heappush(heap, (-len(u), key_left + key_t + key_right, u))
+                heappush(heap, -u)
                 work[u] = c * nct
             else:
                 work[u] = acc + c * nct
     index.steps += steps
-    if p:
-        return {w: field.from_int(c) for w, c in out.items()}
-    return out
+    return index.unpack(out, field)
 
 
 def _has_interior_lead(word, index):
     """Some lead of the index occurs in `word` after its first letter and
     before its last."""
-    return _find_redex(word[1:-1], index.by_lead, index.fits(len(word))) is not None
+    codes, _, suffixes = index.tables(len(word))
+    return _find_redex(index.encode(word[1:-1]), codes, suffixes) is not None
 
 
 def _proper_overlaps(w1, w2):
@@ -323,7 +414,7 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
             if not h:
                 zero += 1
                 continue
-            h = h.monic(order)
+            h = index.monic(h)
             basis.append(h)
             leads.append(index.add(h))
             m = len(basis) - 1
@@ -339,7 +430,7 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
             tail = NcPoly(field, ngens, {w: c for w, c in basis[m].terms.items() if w != lead})
             red = index.reduce(tail)
             if red != tail:
-                g = NcPoly.monomial(field, ngens, lead) + red
+                g = NcPoly.monomial(field, ngens, lead, basis[m].terms[lead]) + red
                 basis[m] = g
                 index.add(g)
         stats.append(

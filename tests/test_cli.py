@@ -104,6 +104,11 @@ REJECTED_FILES = [
     ("gens x y 2\nfield Q\n", ParseError, 1, "generators must be distinct identifiers"),
     ("field Q(w)\ngens w x\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
     ("gens w x\nfield Q(w)\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
+    # GF(p) needs a prime p below 10^14 (GF(3) is refused as CharThreeError)
+    ("field GF(4)\ngens x y\nrel x*y\n", ParseError, 1, "4 is not prime"),
+    ("gens x y\nfield GF(1)\n", ParseError, 2, "1 is not prime"),
+    ("field GF(100000000000031)\ngens x y\n", ParseError, 1,
+     "GF(p) needs p < 10^14 for its trial-division primality test, got 100000000000031"),
 ]
 
 

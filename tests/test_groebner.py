@@ -359,13 +359,10 @@ def test_sklyanin_lower_bound():
             assert h[n] >= (n + 1) * (n + 2) // 2
 
 
-def leftmost_normal_form_terms(terms, index, field):
-    """Reference reducer: the leftmost position first, and at a position the
-    longest lead, with the heap key rebuilt for every new word.  The kernel
-    in `groebner` rewrites at the rightmost redex instead; below the
-    certified degree both must give the same normal forms and bases.  It
-    takes the kernel's arguments but does field-element arithmetic at every
-    step, so it never reads `field`."""
+def reference_normal_form_terms(terms, index, starts):
+    """Reference reducer: at the first position of `starts(n)` that holds a
+    lead, the longest lead there, with tuple words and the heap key rebuilt
+    for every new word.  It does field-element arithmetic at every step."""
     by_lead, lengths, prec = index.by_lead, index.lengths, index.order.precedence
     out, work = {}, dict(terms)
     heap = [(-len(w), tuple(prec[g] for g in w), w) for w in work]
@@ -376,7 +373,7 @@ def leftmost_normal_form_terms(terms, index, field):
         if c is None:
             continue
         n = len(w)
-        hits = ((i, w[i : i + L]) for i in range(n) for L in lengths if i + L <= n)
+        hits = ((i, w[i : i + L]) for i in starts(n) for L in lengths if i + L <= n)
         hit = next(((i, u) for i, u in hits if u in by_lead), None)
         if hit is None:
             out[w] = c
@@ -396,6 +393,20 @@ def leftmost_normal_form_terms(terms, index, field):
             else:
                 work.pop(u, None)
     return out
+
+
+def leftmost_normal_form_terms(terms, index, field):
+    """The reference reducer at the leftmost redex.  The kernel in
+    `groebner` rewrites at the rightmost redex instead; below the certified
+    degree both must give the same normal forms and bases.  It takes the
+    kernel's arguments but never reads `field`."""
+    return reference_normal_form_terms(terms, index, range)
+
+
+def rightmost_normal_form_terms(terms, index, field):
+    """The reference reducer at the kernel's redex, so it takes the
+    kernel's steps."""
+    return reference_normal_form_terms(terms, index, lambda n: range(n - 1, -1, -1))
 
 
 def staircase_pairs(seed):
@@ -538,14 +549,74 @@ def test_lazy_residues_match_reference(monkeypatch):
     fields = (GF(7), GF(31), GF(1000003), GF(1000000000039))
     for k in range(40):
         cases.append((random_sparse_presentation(rng, fields[k % 4]), 7))
+    # packed words: longer than 64 letters, in base B = 11, under a
+    # non-default generator order, and inputs of mixed degrees with the
+    # empty word; the D-letter words of an input are permutations of one
+    # another, so their normal forms collide
+    f31 = GF(31)
+    x, y = NcPoly.gen(f31, 2, X), NcPoly.gen(f31, 2, Y)
+    commutative = Presentation(f31, 2, (x * y - y * x,))
+    # three relations in the first four generators, five in all ten
+    rel_words = [tuple(rng.randrange(4) for _ in range(2)) for _ in range(9)]
+    rel_words += [tuple(rng.sample(range(10), 2)) for _ in range(15)]
+    rels = tuple(
+        NcPoly(f31, 10, {w: f31.from_int(rng.randrange(1, 31)) for w in rel_words[k : k + 3]}) for k in range(0, 24, 3)
+    )
+    ten = Presentation(f31, 10, rels, order=MonomialOrder(tuple(rng.sample(range(10), 10))))
+    cases += [(commutative, 72), (ten, 6)]
     lazy = [complete(p, D) for p, D in cases]
+    inputs = []
+    for g, (p, D) in zip(lazy[-2:], cases[-2:]):
+        # D letters of the leads written one after another, which start with a redex
+        letters = list(itertools.islice(itertools.cycle(itertools.chain(*g.lead_words())), D))
+        words = [tuple(letters)] + [tuple(rng.sample(letters, d)) for d in (D, D, D - 1, 3, 1, 0)]
+        inputs.append(NcPoly(f31, p.ngens, {w: f31.from_int(rng.randrange(1, 31)) for w in words}))
+
+    def reduce_inputs():
+        out = []
+        for g, f in zip(lazy[-2:], inputs):
+            index = LeadIndex(g.order, g.elements)
+            out.append((index.reduce(f), index.steps))
+        return out
+
+    packed = reduce_inputs()
+    assert all(steps > 0 for _, steps in packed)
+    monkeypatch.setattr(groebner, "_normal_form_terms", rightmost_normal_form_terms)
+    assert reduce_inputs() == packed
     monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    assert [h for h, _ in reduce_inputs()] == [h for h, _ in packed]
     reference = [complete(p, D) for p, D in cases]
     for (p, D), new, old in zip(cases, lazy, reference):
         assert list(new.elements) == list(old.elements), p
         modulus, element_type = p.field.characteristic(), type(p.field.one)
         for e in new.elements:
             assert all(type(c) is element_type and 0 < c.v < modulus for c in e.terms.values()), e
+
+
+def test_normal_forms_share_words_and_elements():
+    # the index decodes each word once and builds one GF(p) element per
+    # residue, so its normal forms share them, and so do the elements of a
+    # basis from `complete`
+    p = staircase_pairs(505)[1]
+    g = complete(p, 10)
+    f31 = p.field
+    rng = random.Random(1010)
+    words = [tuple(rng.randrange(3) for _ in range(8)) for _ in range(6)]
+    f = NcPoly(f31, 3, {w: f31.from_int(rng.randrange(1, 31)) for w in words})
+    index = LeadIndex(p.order, g.elements)
+    first = index.reduce(f)
+    second = index.reduce(f + NcPoly.monomial(f31, 3, tuple(rng.randrange(3) for _ in range(8))))
+    words = {w: w for w in first.terms}
+    common = [w for w in second.terms if w in words]
+    assert len(common) >= 2 and all(words[w] is w for w in common)
+    elements = {int(c): c for c in first.terms.values()}
+    common = [c for c in second.terms.values() if int(c) in elements]
+    assert len(common) >= 2 and all(elements[int(c)] is c for c in common)
+    tails = [(w, c) for e, lead in zip(g.elements, g.lead_words()) for w, c in e.terms.items() if w != lead]
+    words, elements = {}, {}
+    for w, c in tails:
+        assert words.setdefault(w, w) is w and elements.setdefault(int(c), c) is c
+    assert len(words) < len(tails) and len(elements) <= 30
 
 
 def test_contributions_summing_to_p_cancel():
