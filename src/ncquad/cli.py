@@ -9,7 +9,8 @@ File grammar, line oriented, `#` starts a comment:
     potential <polynomial>         (alternative to rel lines)
 
 Each directive but `rel` appears at most once, and a file has either `rel`
-lines or a `potential` line.  Polynomials are read by `ncpoly.parse_poly`.
+lines or a `potential` line, whose cyclic derivative by every generator
+must be nonzero.  Polynomials are read by `ncpoly.parse_poly`.
 
 Commands print a single JSON object on stdout and exit 0; domain errors
 exit 1 and file/syntax errors exit 2, with `{"error": ...}` on stderr.
@@ -34,7 +35,7 @@ from .groebner import (  # noqa: F401
     graded_dim_oracle,
     hilbert_coeffs,
 )
-from .ncpoly import parse_poly, render_poly, render_word, MonomialOrder
+from .ncpoly import cyclic_derivative, parse_poly, render_poly, render_word, MonomialOrder
 from .potential import relations_from_potential
 from .quadratic import QuadraticAlgebra, dual_hypotheses, dual_algebra, koszul_defect, right_annihilator_dim
 from .scalars import parse_field
@@ -71,10 +72,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(f"repeated {head} line")
             seen.add(head)
             if head == "field":
-                try:
-                    field = parse_field(rest)
-                except ValueError as exc:  # GF(n) with n not a prime below 10^14
-                    raise ParseError(str(exc)) from None
+                field = parse_field(rest)
             elif head == "gens":
                 names = tuple(rest.split())
                 if not names or len(set(names)) != len(names) or not all(n.isidentifier() for n in names):
@@ -97,6 +95,9 @@ def parse_presentation(text: str) -> Presentation:
                 poly = parse_poly(rest, field, names)
                 try:
                     new = [poly] if head == "rel" else relations_from_potential(poly)
+                    if head == "potential" and len(new) < len(names):
+                        g = next(g for g in range(len(names)) if not cyclic_derivative(poly, g))
+                        raise ParseError(f"cyclic derivative by {names[g]} vanishes")
                     for r in new:
                         check_relation(r, field, len(names), names)
                 except ValueError as exc:

@@ -518,16 +518,23 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
     rows are r*u, for r a relation of degree e and u a basis word of A_{k-e}:
     the row of r*u is sum_w c_w x_{w0}*[w1...w_{e-1}*u], where the class in
     brackets comes from the left-multiplication tables L_i: A_{j-1} -> A_j,
-    applied right to left.  The non-pivot columns are the basis of A_k, and
-    the table at degree k sends each column to its remainder against the
-    degree-k echelon.  Nothing here touches the completion engine.
+    applied right to left; the first factor, L_{w_{e-1}} of u, is one table
+    entry.  The non-pivot columns are the basis of A_k.  The table at degree
+    k sends each column to its class in A_k, read off one back-substitution
+    of the degree-k echelon: a free column's class is its unit vector and a
+    pivot column's class is minus its reduced tail.  Over GF(p) the sweep
+    and the echelon carry residues (`int(c)`), and no field element is made.
+    Nothing here touches the completion engine.
     """
     if degree < 0:
         raise ValueError(f"degree {degree} is negative")
     field = presentation.field
-    one = field.one
+    p = field.characteristic()
+    one = 1 if p else field.one
     gens = presentation.order.gens_descending()
-    relations = [(r.degree(), list(r.terms.items())) for r in presentation.relations]
+    relations = [
+        (r.degree(), [(w, int(c) if p else c) for w, c in r.terms.items()]) for r in presentation.relations
+    ]
     bases = [[()]]  # basis words of A_j, in descending order
     tables = [None]  # tables[j][i][b]: class of x_i*b in A_j, for b in bases[j-1]
     dims = [1]
@@ -543,9 +550,12 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
             for u in bases[k - e]:
                 row = {}
                 for w, c in terms:
-                    coords = {u: one}
-                    for j in range(e - 1, 0, -1):
-                        coords = _apply(tables[k - j][w[j]], coords)
+                    if e == 1:
+                        coords = {u: one}
+                    else:
+                        coords = tables[k - e + 1][w[e - 1]][u]
+                        for j in range(e - 2, 0, -1):
+                            coords = _apply(tables[k - j][w[j]], coords, p)
                     head = (w[0],)
                     for b, v in coords.items():
                         col = head + b
@@ -555,19 +565,31 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
         dims.append(len(columns) - ech.rank)
         if k < degree:
             bases.append([c for c in columns if c not in ech.rows])
-            tables.append(
-                [{b: ech.reduce({(i,) + b: one}) for b in bases[k - 1]} for i in range(presentation.ngens)]
-            )
+            # a pivot column's class is minus its reduced tail, a free
+            # column's is its unit vector
+            classes = {c: _negated(tail, p) for c, tail in ech.back_substitute().items()}
+            for c in bases[k]:
+                classes[c] = {c: one}
+            tables.append([{b: classes[(i,) + b] for b in bases[k - 1]} for i in range(presentation.ngens)])
     return dims
 
 
-def _apply(table, coords):
-    """Image of the element sum_b coords[b] * b under a multiplication table."""
+def _negated(terms, p):
+    if p:
+        return {w: p - v for w, v in terms.items()}
+    return {w: -v for w, v in terms.items()}
+
+
+def _apply(table, coords, p):
+    """Image of the element sum_b coords[b] * b under a multiplication table;
+    over GF(p) the values are residues."""
     out = {}
     for b, c in coords.items():
         for w, v in table[b].items():
             acc = out.get(w)
             out[w] = c * v if acc is None else acc + c * v
+    if p:
+        return {w: r for w, v in out.items() if (r := v % p)}
     return {w: v for w, v in out.items() if v}
 
 

@@ -5,10 +5,17 @@ sparse rows keyed by arbitrary hashable column labels.  No pivot-size
 heuristics are needed over exact fields.  The graded dimension oracle runs
 one per degree: its rows have a handful of terms, but their remainders, and
 the multiplication tables read off them, can fill up to the whole degree.
-The annihilator checks run one per kernel, on rows of reduced products.
-`rref` runs one on the rows of a dense matrix, keyed by column index, and
-`rank`, `nullspace`, `mat_inverse` and `row_space_equal` are views of it;
-the tests keep a dense Gauss-Jordan loop as the reference.
+The oracle reads each degree's tables off one back-substitution of its
+echelon: pivots in ascending key order, each row substituted once, instead
+of one reduction per column.  The annihilator checks run one per kernel, on
+rows of reduced products.  `rref` runs one on the rows of a dense matrix,
+keyed by column index, and reads the reduced rows off the same
+back-substitution; `rank`, `nullspace`, `mat_inverse` and
+`row_space_equal` are views of it, and the tests keep a dense Gauss-Jordan
+loop as the reference.  Over GF(p) the echelon carries int residues with
+delayed reduction, like the reduction kernel, and builds field elements
+only for what it returns, so every function here takes and returns field
+elements.
 """
 
 from __future__ import annotations
@@ -18,29 +25,35 @@ import operator
 from .errors import DimensionMismatchError
 
 
-def rref(rows, field):
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot column indices)."""
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
+def _echelon(rows, field):
     # the pivot of an echelon row is its largest column under the key, so
     # negated indices make it the leftmost nonzero column
     ech = SparseEchelon(field, operator.neg)
     for row in rows:
         ech.add(dict(enumerate(row)))
-    pivots = sorted(ech.rows)
+    return ech
+
+
+def rref(rows, field):
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot column indices)."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    reduced = _echelon(rows, field).back_substitute()
+    pivots = sorted(reduced)
     zero, one = field.zero, field.one
-    reduced = []
+    element = field.from_int if field.characteristic() else None
+    dense = []
     for piv in pivots:
-        # the stored rows are not back-substituted: reducing the tail clears
-        # every later pivot column, and no step brings in a column left of it
-        row = ech.reduce({c: v for c, v in ech.rows[piv].items() if c != piv})
+        row = [zero] * ncols
         row[piv] = one
-        reduced.append([row.get(c, zero) for c in range(ncols)])
-    return reduced, pivots
+        for c, v in reduced[piv].items():
+            row[c] = element(v) if element else v
+        dense.append(row)
+    return dense, pivots
 
 
 def rank(rows, field):
-    return len(rref(rows, field)[0])
+    return _echelon(rows, field).rank
 
 
 def row_space_equal(rows_a, rows_b, field):
@@ -95,55 +108,112 @@ class SparseEchelon:
     """Incremental echelon form over sparse rows with hashable column keys.
 
     `key` orders columns; the pivot of a row is its largest column under
-    `key`.  Rows are stored pivot-normalized and reduced against the rows
-    stored before them; later rows are not substituted back.
+    `key`.  Rows are stored pivot-normalized, as their tails: `rows` maps
+    each pivot to the other terms of its row, divided by the pivot
+    coefficient.  Each row is reduced against the rows stored before it;
+    `back_substitute` clears the later pivot columns from every tail.
+
+    Over GF(p), told by `field.characteristic()` (0 for Q and Q(w)), the
+    rows hold the residues `int(c)`, as the reduction kernel does: a step
+    adds -f * t to an entry unreduced, an entry is reduced mod p when its
+    column is eliminated and when the remainder is returned, and
+    `field.from_int` builds the elements that `reduce` returns.
     """
 
     def __init__(self, field, key):
         self.field = field
         self.key = key
+        self.p = field.characteristic()
         self.rows = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, row):
-        """Fully reduced remainder of `row` (dict column -> coeff): a new dict
-        in which no column is a pivot."""
-        key = self.key
+    def _reduce(self, row):
+        """Remainder of `row` with values in the rows' form: a new dict with
+        no pivot column and no zero, over GF(p) reduced mod p."""
+        p = self.p
         rows = self.rows
-        row = {c: v for c, v in row.items() if v}
+        row = {c: int(v) for c, v in row.items()} if p else dict(row)
         hits = {c for c in row if c in rows}
         # eliminating a pivot only brings in smaller columns, so taking the
-        # largest pivot column first ends after at most one step per pivot
+        # largest pivot column first ends after at most one step per pivot;
+        # a zero entry is dropped when popped or at the end
+        key = self.key
         while hits:
             piv = max(hits, key=key)
             hits.discard(piv)
             f = row.pop(piv)
-            for c, v in rows[piv].items():
-                if c == piv:
-                    continue
-                nv = row.get(c)
-                if nv is None:
-                    row[c] = -f * v
+            if p:
+                f %= p
+            if not f:
+                continue
+            nf = -f
+            for c, t in rows[piv].items():
+                acc = row.get(c)
+                if acc is None:
+                    row[c] = nf * t
                     if c in rows:
                         hits.add(c)
-                    continue
-                nv = nv - f * v
-                if nv:
-                    row[c] = nv
                 else:
-                    del row[c]
-                    hits.discard(c)
-        return row
+                    row[c] = acc + nf * t
+        if p:
+            return {c: r for c, v in row.items() if (r := v % p)}
+        return {c: v for c, v in row.items() if v}
+
+    def reduce(self, row):
+        """Fully reduced remainder of `row` (dict column -> coeff): a new dict
+        in which no column is a pivot."""
+        rem = self._reduce(row)
+        if self.p:
+            from_int = self.field.from_int
+            return {c: from_int(v) for c, v in rem.items()}
+        return rem
 
     def add(self, row):
         """Reduce `row` (dict column -> coeff) and absorb it; True if rank grew."""
-        row = self.reduce(row)
+        row = self._reduce(row)
         if not row:
             return False
         piv = max(row, key=self.key)
-        inv = self.field.one / row[piv]
-        self.rows[piv] = {c: v * inv for c, v in row.items()}
+        lead = row.pop(piv)
+        p = self.p
+        if lead != 1:  # a monic row is stored as it is
+            if p:
+                inv = pow(lead, -1, p)
+                row = {c: v * inv % p for c, v in row.items()}
+            else:
+                inv = lead**-1
+                row = {c: v * inv for c, v in row.items()}
+        self.rows[piv] = row
         return True
+
+    def back_substitute(self):
+        """The reduced row echelon form: each pivot's tail with every pivot
+        column cleared, in the rows' form.
+
+        Pivots go in ascending key order and each row is substituted once: a
+        stored tail holds only smaller columns, whose reduced tails are
+        already known, so a pivot column c with coefficient t in the tail is
+        replaced by -t times the reduced tail of c.
+        """
+        p = self.p
+        reduced = {}
+        for piv in sorted(self.rows, key=self.key):
+            out = {}
+            for c, t in self.rows[piv].items():
+                sub = reduced.get(c)
+                if sub is None:
+                    acc = out.get(c)
+                    out[c] = t if acc is None else acc + t
+                    continue
+                nt = -t
+                for c2, v in sub.items():
+                    acc = out.get(c2)
+                    out[c2] = nt * v if acc is None else acc + nt * v
+            if p:
+                reduced[piv] = {c: r for c, v in out.items() if (r := v % p)}
+            else:
+                reduced[piv] = {c: v for c, v in out.items() if v}
+        return reduced

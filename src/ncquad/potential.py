@@ -16,8 +16,6 @@ Sklyanin relations verbatim.
 
 from __future__ import annotations
 
-import warnings
-
 from .ncpoly import NcPoly, cyclic_derivative, cyclize, is_cyclically_invariant
 
 X, Y, Z = 0, 1, 2
@@ -26,20 +24,14 @@ X, Y, Z = 0, 1, 2
 def relations_from_potential(f: NcPoly) -> list:
     """One relation per generator: the cyclic derivative by that generator.
 
-    Raises ValueError unless f is cyclically invariant.  Vanishing
-    derivatives are dropped with a warning, since they present the same
-    algebra with fewer relations.
+    Raises ValueError unless f is cyclically invariant.  A vanishing
+    derivative is dropped without notice, since the zero relation presents
+    the same algebra; so the list is shorter than the generators exactly
+    when some derivative vanishes (a presentation file refuses that).
     """
     if not is_cyclically_invariant(f):
         raise ValueError("potential is not cyclically invariant")
-    out = []
-    for j in range(f.ngens):
-        d = cyclic_derivative(f, j)
-        if d:
-            out.append(d)
-        else:
-            warnings.warn(f"derivative by generator {j} vanishes; relation dropped")
-    return out
+    return [d for j in range(f.ngens) if (d := cyclic_derivative(f, j))]
 
 
 def sklyanin_potential(field, p, q, r) -> NcPoly:

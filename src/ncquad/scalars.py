@@ -74,7 +74,11 @@ class _Element:
 
 
 class ThetaRational(_Element):
-    """Element a + b*w of Q[w]/(w^2 + w + 1), components reduced fractions."""
+    """Element a + b*w of Q[w]/(w^2 + w + 1), components reduced fractions.
+
+    The operators build their results with `_theta`, which stores two
+    `Fraction`s as they are; the public constructor converts its arguments.
+    """
 
     __slots__ = ("a", "b")
 
@@ -96,29 +100,38 @@ class ThetaRational(_Element):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ThetaRational(self.a + o.a, self.b + o.b)
+        if type(other) is not ThetaRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _theta(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ThetaRational(self.a - o.a, self.b - o.b)
+        if type(other) is not ThetaRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _theta(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
-        return ThetaRational(-self.a, -self.b)
+        return _theta(-self.a, -self.b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + bw)(c + dw) with w^2 = -1 - w
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return ThetaRational(a * c - b * d, a * d + b * c - b * d)
+        if type(other) is not ThetaRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + bw)(c + dw) with w^2 = -1 - w; a rational factor needs two
+        # products, and otherwise b*d is formed once
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if not d:
+            return _theta(a * c, b * c)
+        if not b:
+            return _theta(a * c, a * d)
+        bd = b * d
+        return _theta(a * c - bd, a * d + b * c - bd)
 
     __rmul__ = __mul__
 
@@ -128,13 +141,14 @@ class ThetaRational(_Element):
         n = a * a - a * b + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        return ThetaRational((a - b) / n, -b / n)
+        return _theta((a - b) / n, -b / n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if type(other) is not ThetaRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
         if not self.b:
@@ -143,6 +157,17 @@ class ThetaRational(_Element):
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
+
+
+_new = object.__new__
+
+
+def _theta(a, b):
+    """The element a + b*w for two `Fraction`s, stored without conversion."""
+    x = _new(ThetaRational)
+    x.a = a
+    x.b = b
+    return x
 
 
 class _ModPBase(_Element):
@@ -422,7 +447,8 @@ GF = PrimeField
 
 
 def parse_field(text: str) -> Field:
-    """Parse a field name: Q, Q(w), or GF(p)."""
+    """Parse a field name: Q, Q(w), or GF(p).  GF(n) with n not a prime
+    below 10^14 is a `ParseError`; GF(3) stays a `CharThreeError`."""
     s = text.strip()
     if s == "Q":
         return QQ
@@ -430,5 +456,8 @@ def parse_field(text: str) -> Field:
         return QQ_THETA
     m = re.fullmatch(r"GF\((\d+)\)", s)
     if m:
-        return PrimeField(int(m.group(1)))
+        try:
+            return PrimeField(int(m.group(1)))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field {text!r} (expected Q, Q(w) or GF(p))")

@@ -89,8 +89,12 @@ REJECTED_FILES = [
     # rel lines and a potential line conflict at whichever comes second
     ("field Q\ngens x y\nrel x*y\nrel y*x\npotential x*x*x\n", ParseError, 5,
      "a file has either rel lines or a potential line"),
-    ("field Q\ngens x y\npotential x*x*x\nrel x*y\n", ParseError, 4,
+    ("field Q\ngens x y\npotential x*x*x + y*y*y\nrel x*y\n", ParseError, 4,
      "a file has either rel lines or a potential line"),
+    # a potential whose cyclic derivative by a generator vanishes is refused
+    ("field Q\ngens x y\npotential x*x*x\n", ParseError, 3, "cyclic derivative by y vanishes"),
+    ("field Q\ngens x y z\n# no relation from y\npotential x*x*x + z*z*z\n", ParseError, 4,
+     "cyclic derivative by y vanishes"),
     # each relation is checked at its line, and shown in the file's names
     ("field Q\ngens x y\nrel x*y + x\n", HomogeneityError, 3, "relation x*y + x is not homogeneous"),
     ("field Q\ngens x y\nrel y*y - y*y\n", ParseError, 3, "zero relation"),
@@ -257,12 +261,16 @@ def test_classify_over_large_prime_field(capsys):
 
 
 def test_oversized_prime_field_exit_code(capsys):
+    # --field is read like a file's field line: a bad GF(n) is a ParseError, exit 2
     code, out, err = run(capsys, "sklyanin", "classify", "1", "2", "5", "--field", f"GF({2**89 - 1})")
-    assert code == 1
+    assert code == 2
     assert out == ""
     error = json.loads(err)["error"]
-    assert error["kind"] == "ValueError"
+    assert error["kind"] == "ParseError"
     assert "10^14" in error["detail"]
+    code, out, err = run(capsys, "sklyanin", "classify", "1", "2", "5", "--field", "GF(4)")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"kind": "ParseError", "detail": "4 is not prime"}
 
 
 def test_readme_commands_match_golden_output(capsys):

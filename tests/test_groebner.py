@@ -21,6 +21,7 @@ from ncquad.groebner import (
     normal_words,
     normal_words_by_degree,
 )
+from ncquad.linalg import SparseEchelon
 from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly
 from ncquad.scalars import ThetaRational
 from ncquad.sklyanin import (
@@ -167,10 +168,6 @@ def test_algebra_w_basis():
 
 
 def test_w_degree4_element_membership():
-    import itertools
-
-    from ncquad.linalg import SparseEchelon
-
     p = pres(W_RELATIONS)
     order = degree_lex(3)
     rows = []
@@ -305,6 +302,46 @@ def test_oracle_independent_of_completion(monkeypatch):
     monkeypatch.setattr(LeadIndex, "reduce", refuse)
     assert [graded_dim_oracle(pres(W_RELATIONS), d) for d in range(7)] == expected == [1, 3, 6, 10, 17, 30, 52]
     assert groebner._graded_dims(pres(W_RELATIONS), 6) == expected
+
+
+def test_oracle_tables_match_per_column_reduction(monkeypatch):
+    # each degree's multiplication table is read off one back-substitution
+    # of the echelon, a pivot column's class being minus its reduced tail;
+    # the reference reduces the unit vector of every pivot column against
+    # the echelon, one `reduce` per column (free columns keep their unit
+    # vector either way)
+    rng = random.Random(1313)
+    cases = [(parse_presentation(path.read_text()), 6) for path in sorted(CORPUS.glob("*.alg"))]
+    for field, value in (
+        (GF(31), lambda: GF(31).from_int(rng.randrange(1, 31))),
+        (QQ, lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))),
+        (QQ_THETA, lambda: ThetaRational(rng.randint(-4, 4), rng.randint(1, 4))),
+    ):
+        cases.append((sklyanin_pres(field, value(), value(), value()), 6))
+    cases.append((staircase_pairs(1313)[1], 10))  # the k = 2 finite branch
+    f7 = GF(7)
+    mixed = ["x", "y*z*y + 3*z*z*x", "2*x*y*z*z + z*z*z*y"]  # degrees 1, 3 and 4
+    cases.append((Presentation(f7, 3, tuple(parse_poly(t, f7, NAMES) for t in mixed)), 7))
+
+    seen = []
+    back_substitute = SparseEchelon.back_substitute
+
+    def recorded(ech):
+        reduced = back_substitute(ech)
+        seen.append((ech, reduced))
+        return reduced
+
+    monkeypatch.setattr(SparseEchelon, "back_substitute", recorded)
+    for p, D in cases:
+        seen.clear()
+        groebner._graded_dims(p, D)
+        assert len(seen) == D - 1  # one table per degree below D
+        field = p.field
+        for ech, reduced in seen:
+            assert reduced.keys() == ech.rows.keys()
+            for piv, tail in reduced.items():
+                values = {c: field.from_int(v) if field.characteristic() else v for c, v in tail.items()}
+                assert {c: -v for c, v in values.items()} == ech.reduce({piv: field.one}), (p, piv)
 
 
 def test_completion_canonical_under_permutation():

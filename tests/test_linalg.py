@@ -11,7 +11,10 @@ from ncquad.sklyanin import sklyanin_presentation, staircase_relations
 
 F7 = GF(7)
 F31 = GF(31)
-FIELDS = [F7, F31, QQ, QQ_THETA]
+# the echelon carries GF(p) residues as ints with delayed reduction, so the
+# prime fields range from tiny to near the 10^14 bound
+PRIME_FIELDS = [F7, F31, GF(1000003), GF(10**13 + 37)]
+FIELDS = PRIME_FIELDS + [QQ, QQ_THETA]
 WORDS2 = [(i, j) for i in range(3) for j in range(3)]
 
 
@@ -51,26 +54,39 @@ def dense_rank(rows, field):
 
 
 def test_sparse_echelon_reduce():
+    for field in FIELDS:
+        check_sparse_echelon(field)
+
+
+def check_sparse_echelon(field):
     rng = random.Random(11)
     ncols = 12
     for _ in range(20):
         dense = [
-            [F31.from_int(rng.randrange(31)) if rng.random() < 0.3 else F31.zero for _ in range(ncols)]
+            [scalar(field, rng) if rng.random() < 0.3 else field.zero for _ in range(ncols)]
             for _ in range(rng.randrange(1, 10))
         ]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        ech = SparseEchelon(F31, lambda c: c)
+        ech = SparseEchelon(field, lambda c: c)
         grew = [ech.add(row) for row in sparse]
-        assert ech.rank == sum(grew) == dense_rank(dense, F31)
+        assert ech.rank == sum(grew) == dense_rank(dense, field)
         for row in sparse:
             assert ech.reduce(row) == {}
-        probe = {c: F31.from_int(rng.randrange(1, 31)) for c in rng.sample(range(ncols), 4)}
+        probe = {c: scalar(field, rng) or field.one for c in rng.sample(range(ncols), 4)}
         rem = ech.reduce(probe)
         assert not any(c in ech.rows for c in rem)
+        # the remainder holds field elements, none of them zero
+        assert all(type(v) is type(field.one) and v for v in rem.values())
         # the remainder is zero exactly when the probe lies in the row space
-        probe_row = [probe.get(c, F31.zero) for c in range(ncols)]
-        assert (rem == {}) == (dense_rank(dense + [probe_row], F31) == ech.rank)
+        probe_row = [probe.get(c, field.zero) for c in range(ncols)]
+        assert (rem == {}) == (dense_rank(dense + [probe_row], field) == ech.rank)
         assert ech.add(probe) == bool(rem)
+        # a pivot's reduced tail is minus the remainder of its unit vector
+        reduced = ech.back_substitute()
+        assert reduced.keys() == ech.rows.keys()
+        for piv, tail in reduced.items():
+            values = {c: field.from_int(v) if field.characteristic() else v for c, v in tail.items()}
+            assert {c: -v for c, v in values.items()} == ech.reduce({piv: field.one})
 
 
 def scalar(field, rng):
@@ -79,6 +95,30 @@ def scalar(field, rng):
     if field is QQ:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     return field.from_int(rng.randrange(field.characteristic()))
+
+
+def extreme_residue(field, rng):
+    """A residue next to 0 or p, or one of the two halves of p, so that
+    unreduced sums of products land on multiples of p."""
+    p = field.characteristic()
+    return field.from_int(rng.choice((0, 1, 2, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2)))
+
+
+def wraparound_matrices(field, rng):
+    """GF(p) matrices whose delayed sums reach nonzero multiples of p, both
+    at an eliminated pivot and in a remainder: rows of residues next to 0
+    and p, and a row that is p - 1 times the sum of others."""
+    p = field.characteristic()
+    out = []
+    for _ in range(20):
+        nrows, ncols = rng.randint(2, 7), rng.randint(2, 9)
+        out.append([[extreme_residue(field, rng) for _ in range(ncols)] for _ in range(nrows)])
+    for _ in range(10):
+        ncols = rng.randint(3, 8)
+        base = [[extreme_residue(field, rng) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        dependent = [field.from_int(p - 1) * sum(col, field.zero) for col in zip(*base)]
+        out.append(base + [dependent] + [[field.from_int(p - 1)] * ncols, [field.one] * ncols])
+    return out
 
 
 def relation_rows(relations):
@@ -113,6 +153,8 @@ def matrices(field, rng):
         p, q, r, alpha, gamma = (scalar(field, rng) for _ in range(5))
         out.append(relation_rows(sklyanin_presentation(field, p, q, r).relations))
         out.append(relation_rows(staircase_relations(field, alpha, gamma)))
+    if field.characteristic():
+        out += wraparound_matrices(field, rng)
     return out
 
 

@@ -71,6 +71,57 @@ def test_theta_pow_matches_repeated_multiplication():
             assert x**n == expected
 
 
+def pair_mul(x, y):
+    """(a + bw)(c + dw) on Fraction pairs, with w^2 = -1 - w."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def pair_inverse(x):
+    a, b = x
+    n = a * a - a * b + b * b
+    return (a - b) / n, -b / n
+
+
+def test_theta_operators_match_fraction_pairs():
+    # the operators store their Fraction results as they are; the values,
+    # the component types and the hashes must be those of the pair formulas
+    rng = random.Random(17)
+    parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 7)]
+    parts += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+    pairs = [(a, b) for a in parts for b in parts]
+    others = [0, 1, -1, 3, Fraction(-2, 5)]
+
+    def check(got, expected):
+        assert type(got) is ThetaRational
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert (got.a, got.b) == expected
+        if not expected[1]:
+            assert hash(got) == hash(expected[0]) and got == expected[0]
+
+    for x in pairs:
+        tx = ThetaRational(*x)
+        check(-tx, (-x[0], -x[1]))
+        if any(x):
+            check(tx.inverse(), pair_inverse(x))
+        for y in rng.sample(pairs, 12):
+            ty = ThetaRational(*y)
+            check(tx + ty, (x[0] + y[0], x[1] + y[1]))
+            check(tx - ty, (x[0] - y[0], x[1] - y[1]))
+            check(tx * ty, pair_mul(x, y))
+            if any(y):
+                check(tx / ty, pair_mul(x, pair_inverse(y)))
+            assert (tx == ty) == (x == y)
+        for n in others:
+            check(tx + n, (x[0] + n, x[1]))
+            check(n + tx, (x[0] + n, x[1]))
+            check(tx - n, (x[0] - n, x[1]))
+            check(n - tx, (n - x[0], -x[1]))
+            check(tx * n, (x[0] * n, x[1] * n))
+            check(n * tx, (x[0] * n, x[1] * n))
+            assert (tx == n) == (x == (n, 0))
+
+
 def test_theta_pow_of_zero():
     zero = ThetaRational(0)
     assert zero**0 == 1
@@ -251,3 +302,13 @@ def test_parse_field_names():
     assert parse_field("GF(31)") == GF(31)
     with pytest.raises(ParseError):
         parse_field("R")
+    # a GF(n) that is no field the package takes is refused at the text
+    # boundary; the constructor keeps its ValueError
+    for text, detail in (("GF(4)", "4 is not prime"), ("GF(1)", "1 is not prime"),
+                         (f"GF({10**14 + 31})", "10^14")):
+        with pytest.raises(ParseError, match=detail.replace("^", r"\^")):
+            parse_field(text)
+    with pytest.raises(ValueError):
+        GF(4)
+    with pytest.raises(CharThreeError):
+        parse_field("GF(3)")
