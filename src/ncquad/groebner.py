@@ -73,14 +73,15 @@ class LeadIndex:
     codes, deg-lex order is integer order, and the empty word is 0.  The
     first reduction builds the packed tables (`tables`): `codes` sends the
     code of each lead to its element, and `tails` holds, per lead code, the
-    element's other terms as (code, B^length, negated coefficient); over
-    GF(p) a negated coefficient c is the int p - int(c), not a field
-    element.  A tail is built the first time a reduction rewrites with its
-    element.  An index that never reduces holds none of this.
+    element's other terms as (code, B^length, value of the negated
+    coefficient), the value being `field.lift` of it (`scalars.Field`).  A
+    tail is built the first time a reduction rewrites with its element.  An
+    index that never reduces holds none of this.
 
-    The index decodes each word it outputs once and, over GF(p), builds one
-    element per residue, so the normal forms it returns and the elements
-    `monic` makes share their word tuples and coefficient objects.
+    The index decodes each word it outputs once, so the normal forms it
+    returns and the elements `monic` makes share their word tuples; they
+    take their coefficients from `field.element`, which over GF(p) builds
+    one object per residue.
     """
 
     def __init__(self, order, elements=()):
@@ -125,7 +126,6 @@ class LeadIndex:
             self._powers = [1]
             self._suffixes = []
             self._words = {}
-            self._elements = {}
             self.codes = {self.encode(lead): g for lead, g in self.by_lead.items()}
             self.tails = {}
         powers = self._powers
@@ -144,20 +144,18 @@ class LeadIndex:
             code = code * base + digit[g]
         return code
 
-    def tail(self, code, p):
+    def tail(self, code, lift):
         """The packed tail of the element whose lead has this code."""
         g = self.codes[code]
         lead = g.leading_word(self.order)
         powers, encode = self._powers, self.encode
-        self.tails[code] = tail = [
-            (encode(t), powers[len(t)], p - int(c) if p else -c) for t, c in g.terms.items() if t != lead
-        ]
+        self.tails[code] = tail = [(encode(t), powers[len(t)], lift(-c)) for t, c in g.terms.items() if t != lead]
         return tail
 
     def unpack(self, out, field):
-        """Terms of a packed normal form: words decoded once per index, and
-        over GF(p) one element per residue."""
-        words, base, letter = self._words, self._base, self._letter
+        """Terms of a packed normal form with settled values, each word
+        decoded once per index."""
+        words, base, letter, element = self._words, self._base, self._letter, field.element
         terms = {}
         for code, c in out.items():
             w = words.get(code)
@@ -168,33 +166,18 @@ class LeadIndex:
                     rest, d = divmod(rest, base)
                     digits.append(letter[d])
                 w = words[code] = tuple(reversed(digits))
-            terms[w] = c
-        if field.characteristic():
-            return self._share(terms, field)
-        return terms
-
-    def _share(self, terms, field):
-        """GF(p) terms with residue values, as one element per residue."""
-        elements = self._elements
-        for w, c in terms.items():
-            e = elements.get(c)
-            if e is None:
-                e = elements[c] = field.from_int(c)
-            terms[w] = e
+            terms[w] = element(c)
         return terms
 
     def reduce(self, f: NcPoly) -> NcPoly:
         return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
 
     def monic(self, f: NcPoly) -> NcPoly:
-        """f divided by its leading coefficient; over GF(p) the coefficients
-        are the index's elements."""
-        p = f.field.characteristic()
-        if not p:
-            return f.monic(self.order)
-        self.tables(0)  # the element table
-        inv = pow(int(f.leading_coeff(self.order)), -1, p)
-        return NcPoly(f.field, f.ngens, self._share({w: int(c) * inv % p for w, c in f.terms.items()}, f.field))
+        """f divided by its leading coefficient, computed on the field's values."""
+        field = f.field
+        lift, settle, element = field.lift, field.settle, field.element
+        inv = lift(f.leading_coeff(self.order) ** -1)
+        return NcPoly(field, f.ngens, {w: element(settle(lift(c) * inv)) for w, c in f.terms.items()})
 
 
 class GroebnerBasis:
@@ -285,21 +268,21 @@ def _normal_form_terms(terms, index, field):
     completions.  A step writes w = left.lead.right as
     u = (left * B^|t| + t) * B^|right| + right for each tail term t.
 
-    Over GF(p), told by `field.characteristic()` (0 for Q and Q(w)), the
-    kernel works on the residues `int(c)`: a step adds c * (p - int(ct)) to
-    a word with no reduction, and the sum is reduced mod p once, when the
-    word is popped (delayed reduction, as in Monagan and Pearce's heap
-    division).  The index decodes the output words and builds the output
-    elements, each once.  For every field a word whose coefficient sums to
-    zero is skipped at the pop.  Such a word is never rewritten, so the
-    steps are the same as with a zero test at every sum.
+    The kernel computes on the field's values (`field.lift`): a step adds
+    c * lift(-ct) to a word unsettled, and the sum is settled once, when the
+    word is popped; over GF(p) that is one reduction mod p per word (delayed
+    reduction, as in Monagan and Pearce's heap division).  The index decodes
+    the output words and builds the output elements, each once.  A word
+    whose coefficient settles to zero is skipped at the pop.  Such a word is
+    never rewritten, so the steps are the same as with a zero test at every
+    sum.
     """
     if not terms:
         return {}
-    p = field.characteristic()
+    lift, settle = field.lift, field.settle
     codes, tails, suffixes = index.tables(max(map(len, terms)))
     encode = index.encode
-    work = {encode(w): int(c) if p else c for w, c in terms.items()}
+    work = {encode(w): lift(c) for w, c in terms.items()}
     heap = [-u for u in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -307,9 +290,7 @@ def _normal_form_terms(terms, index, field):
     steps = 0
     while heap:
         code = -heappop(heap)
-        c = work.pop(code)
-        if p:
-            c %= p
+        c = settle(work.pop(code))
         if not c:
             continue
         hit = _find_redex(code, codes, suffixes)
@@ -320,7 +301,7 @@ def _normal_form_terms(terms, index, field):
         lead, high, q = hit
         tail = tails.get(lead)
         if tail is None:
-            tail = index.tail(lead, p)
+            tail = index.tail(lead, lift)
         left, right = code // high, code % q
         for t, shift, nct in tail:
             u = (left * shift + t) * q + right
@@ -522,19 +503,18 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
     entry.  The non-pivot columns are the basis of A_k.  The table at degree
     k sends each column to its class in A_k, read off one back-substitution
     of the degree-k echelon: a free column's class is its unit vector and a
-    pivot column's class is minus its reduced tail.  Over GF(p) the sweep
-    and the echelon carry residues (`int(c)`), and no field element is made.
-    Nothing here touches the completion engine.
+    pivot column's class is minus its reduced tail.  The sweep, the tables
+    and the echelon carry the field's values (`field.lift`, settled by
+    `field.settle`), and no field element is made.  Nothing here touches
+    the completion engine.
     """
     if degree < 0:
         raise ValueError(f"degree {degree} is negative")
     field = presentation.field
-    p = field.characteristic()
-    one = 1 if p else field.one
+    lift, settle = field.lift, field.settle
+    one = lift(field.one)
     gens = presentation.order.gens_descending()
-    relations = [
-        (r.degree(), [(w, int(c) if p else c) for w, c in r.terms.items()]) for r in presentation.relations
-    ]
+    relations = [(r.degree(), [(w, lift(c)) for w, c in r.terms.items()]) for r in presentation.relations]
     bases = [[()]]  # basis words of A_j, in descending order
     tables = [None]  # tables[j][i][b]: class of x_i*b in A_j, for b in bases[j-1]
     dims = [1]
@@ -555,7 +535,7 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
                     else:
                         coords = tables[k - e + 1][w[e - 1]][u]
                         for j in range(e - 2, 0, -1):
-                            coords = _apply(tables[k - j][w[j]], coords, p)
+                            coords = _apply(tables[k - j][w[j]], coords, settle)
                     head = (w[0],)
                     for b, v in coords.items():
                         col = head + b
@@ -567,30 +547,22 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
             bases.append([c for c in columns if c not in ech.rows])
             # a pivot column's class is minus its reduced tail, a free
             # column's is its unit vector
-            classes = {c: _negated(tail, p) for c, tail in ech.back_substitute().items()}
+            classes = {c: {w: settle(-v) for w, v in tail.items()} for c, tail in ech.back_substitute().items()}
             for c in bases[k]:
                 classes[c] = {c: one}
             tables.append([{b: classes[(i,) + b] for b in bases[k - 1]} for i in range(presentation.ngens)])
     return dims
 
 
-def _negated(terms, p):
-    if p:
-        return {w: p - v for w, v in terms.items()}
-    return {w: -v for w, v in terms.items()}
-
-
-def _apply(table, coords, p):
-    """Image of the element sum_b coords[b] * b under a multiplication table;
-    over GF(p) the values are residues."""
+def _apply(table, coords, settle):
+    """Image of the element sum_b coords[b] * b under a multiplication
+    table, in settled values."""
     out = {}
     for b, c in coords.items():
         for w, v in table[b].items():
             acc = out.get(w)
             out[w] = c * v if acc is None else acc + c * v
-    if p:
-        return {w: r for w, v in out.items() if (r := v % p)}
-    return {w: v for w, v in out.items() if v}
+    return {w: r for w, v in out.items() if (r := settle(v))}
 
 
 def graded_dim_oracle(presentation: Presentation, degree: int) -> int:

@@ -12,10 +12,10 @@ rows of reduced products.  `rref` runs one on the rows of a dense matrix,
 keyed by column index, and reads the reduced rows off the same
 back-substitution; `rank`, `nullspace`, `mat_inverse` and
 `row_space_equal` are views of it, and the tests keep a dense Gauss-Jordan
-loop as the reference.  Over GF(p) the echelon carries int residues with
-delayed reduction, like the reduction kernel, and builds field elements
-only for what it returns, so every function here takes and returns field
-elements.
+loop as the reference.  Like the reduction kernel, the echelon computes on
+the field's values (`scalars.Field.lift`, `settle`, `element`) and builds
+field elements only for what it returns, so every function here takes and
+returns field elements.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ def rref(rows, field):
     ncols = len(rows[0]) if rows else 0
     reduced = _echelon(rows, field).back_substitute()
     pivots = sorted(reduced)
-    zero, one = field.zero, field.one
-    element = field.from_int if field.characteristic() else None
+    zero, one, element = field.zero, field.one, field.element
     dense = []
     for piv in pivots:
         row = [zero] * ncols
         row[piv] = one
         for c, v in reduced[piv].items():
-            row[c] = element(v) if element else v
+            row[c] = element(v)
         dense.append(row)
     return dense, pivots
 
@@ -113,17 +112,16 @@ class SparseEchelon:
     coefficient.  Each row is reduced against the rows stored before it;
     `back_substitute` clears the later pivot columns from every tail.
 
-    Over GF(p), told by `field.characteristic()` (0 for Q and Q(w)), the
-    rows hold the residues `int(c)`, as the reduction kernel does: a step
-    adds -f * t to an entry unreduced, an entry is reduced mod p when its
-    column is eliminated and when the remainder is returned, and
-    `field.from_int` builds the elements that `reduce` returns.
+    The rows hold the field's values (`field.lift`), as the reduction kernel
+    does: a step adds -f * t to an entry unsettled, an entry is settled
+    (over GF(p), reduced mod p) when its column is eliminated and when the
+    remainder is returned, and `field.element` builds the elements that
+    `reduce` returns.
     """
 
     def __init__(self, field, key):
         self.field = field
         self.key = key
-        self.p = field.characteristic()
         self.rows = {}
 
     @property
@@ -131,11 +129,11 @@ class SparseEchelon:
         return len(self.rows)
 
     def _reduce(self, row):
-        """Remainder of `row` with values in the rows' form: a new dict with
-        no pivot column and no zero, over GF(p) reduced mod p."""
-        p = self.p
+        """Remainder of `row` in settled values: a new dict with no pivot
+        column and no zero."""
+        lift, settle = self.field.lift, self.field.settle
         rows = self.rows
-        row = {c: int(v) for c, v in row.items()} if p else dict(row)
+        row = {c: lift(v) for c, v in row.items()}
         hits = {c for c in row if c in rows}
         # eliminating a pivot only brings in smaller columns, so taking the
         # largest pivot column first ends after at most one step per pivot;
@@ -144,9 +142,7 @@ class SparseEchelon:
         while hits:
             piv = max(hits, key=key)
             hits.discard(piv)
-            f = row.pop(piv)
-            if p:
-                f %= p
+            f = settle(row.pop(piv))
             if not f:
                 continue
             nf = -f
@@ -158,18 +154,13 @@ class SparseEchelon:
                         hits.add(c)
                 else:
                     row[c] = acc + nf * t
-        if p:
-            return {c: r for c, v in row.items() if (r := v % p)}
-        return {c: v for c, v in row.items() if v}
+        return {c: r for c, v in row.items() if (r := settle(v))}
 
     def reduce(self, row):
         """Fully reduced remainder of `row` (dict column -> coeff): a new dict
         in which no column is a pivot."""
-        rem = self._reduce(row)
-        if self.p:
-            from_int = self.field.from_int
-            return {c: from_int(v) for c, v in rem.items()}
-        return rem
+        element = self.field.element
+        return {c: element(v) for c, v in self._reduce(row).items()}
 
     def add(self, row):
         """Reduce `row` (dict column -> coeff) and absorb it; True if rank grew."""
@@ -178,27 +169,24 @@ class SparseEchelon:
             return False
         piv = max(row, key=self.key)
         lead = row.pop(piv)
-        p = self.p
         if lead != 1:  # a monic row is stored as it is
-            if p:
-                inv = pow(lead, -1, p)
-                row = {c: v * inv % p for c, v in row.items()}
-            else:
-                inv = lead**-1
-                row = {c: v * inv for c, v in row.items()}
+            field = self.field
+            settle = field.settle
+            inv = field.lift(field.element(lead) ** -1)
+            row = {c: settle(v * inv) for c, v in row.items()}
         self.rows[piv] = row
         return True
 
     def back_substitute(self):
         """The reduced row echelon form: each pivot's tail with every pivot
-        column cleared, in the rows' form.
+        column cleared, in settled values.
 
         Pivots go in ascending key order and each row is substituted once: a
         stored tail holds only smaller columns, whose reduced tails are
         already known, so a pivot column c with coefficient t in the tail is
         replaced by -t times the reduced tail of c.
         """
-        p = self.p
+        settle = self.field.settle
         reduced = {}
         for piv in sorted(self.rows, key=self.key):
             out = {}
@@ -212,8 +200,5 @@ class SparseEchelon:
                 for c2, v in sub.items():
                     acc = out.get(c2)
                     out[c2] = nt * v if acc is None else acc + nt * v
-            if p:
-                reduced[piv] = {c: r for c, v in out.items() if (r := v % p)}
-            else:
-                reduced[piv] = {c: v for c, v in out.items() if v}
+            reduced[piv] = {c: r for c, v in out.items() if (r := settle(v))}
         return reduced

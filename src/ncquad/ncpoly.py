@@ -158,12 +158,6 @@ class NcPoly:
     def leading_coeff(self, order):
         return self.terms[self.leading_word(order)]
 
-    def monic(self, order):
-        if not self.terms:
-            return self
-        inv = self.field.one / self.leading_coeff(order)
-        return self.scale(inv)
-
     def coeff(self, word):
         return self.terms.get(tuple(word), self.field.zero)
 

@@ -111,22 +111,21 @@ class DualHypotheses:
     no_dual_degree1_right_annihilator: bool
 
 
-def _stacked_kernel_dim(basis: GroebnerBasis, vectors, multipliers, vector_side):
-    """dim of {sum c_j vectors[j] : its product with every multiplier is 0}.
+def _stacked_kernel_dim(basis: GroebnerBasis, products):
+    """dim of {sum c_j v_j : its product with every multiplier is 0}, where
+    products[j] lists the products of the vector v_j with each multiplier.
 
-    `vector_side` says which side of the product the vector sits on.  Row j
-    holds the reduced products of vectors[j] with each multiplier, keyed by
-    (multiplier index, normal word); the rows span the image, so the kernel
-    dimension is len(vectors) minus their rank, found by sparse elimination.
+    Row j holds those products reduced, keyed by (multiplier index, normal
+    word); the rows span the image, so the kernel dimension is the number
+    of vectors minus their rank, found by sparse elimination.
     """
     ech = SparseEchelon(basis.field, lambda col: col)
-    for v in vectors:
+    for prods in products:
         row = {}
-        for mi, m in enumerate(multipliers):
-            prod = v * m if vector_side == "left" else m * v
+        for mi, prod in enumerate(prods):
             row.update(((mi, w), c) for w, c in basis.reduce(prod).terms.items())
         ech.add(row)
-    return len(vectors) - ech.rank
+    return len(products) - ech.rank
 
 
 def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
@@ -138,8 +137,8 @@ def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
     levels = normal_words_by_degree(g, 4)
     dual2 = [NcPoly.monomial(dual.field, dual.ngens, w) for w in levels[2]]
     gens = [NcPoly.gen(dual.field, dual.ngens, j) for j in range(dual.ngens)]
-    left_ann = _stacked_kernel_dim(g, gens, dual2, "left")
-    right_ann = _stacked_kernel_dim(g, gens, dual2, "right")
+    left_ann = _stacked_kernel_dim(g, [[x * m for m in dual2] for x in gens])
+    right_ann = _stacked_kernel_dim(g, [[m * x for m in dual2] for x in gens])
     return DualHypotheses(
         dual4_zero=not levels[4],
         dual3_dim=len(levels[3]),
@@ -155,4 +154,4 @@ def right_annihilator_dim(algebra: QuadraticAlgebra, degree: int) -> int:
     words = normal_words_by_degree(g, degree)[degree]
     vectors = [NcPoly.monomial(algebra.field, algebra.ngens, w) for w in words]
     gens = [NcPoly.gen(algebra.field, algebra.ngens, j) for j in range(algebra.ngens)]
-    return _stacked_kernel_dim(g, vectors, gens, "right")
+    return _stacked_kernel_dim(g, [[x * u for x in gens] for u in vectors])

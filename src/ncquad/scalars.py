@@ -9,8 +9,14 @@ body each of reflected subtraction, division and powers, in `_Element`.
 Field objects describe the domain, build and parse elements, and hand out
 the cube root of unity where one exists.
 
-`int(x)` of a GF(p) element is its residue in [0, p); with `Field.from_int`
-it lets other modules carry residues as ints without knowing the storage.
+Exact engines (the reduction kernel, the sparse echelon, the dimension
+oracle) compute on values, not elements, through three hooks of the field:
+`lift(x)` is the value of an element, sums and products of values stay
+unsettled, `settle(v)` makes a sum canonical (false exactly at zero), and
+`element(v)` turns a settled value back into an element.  Over Q and Q(w)
+all three return their argument; over GF(p) a value is an int, settled to
+its residue in [0, p), so a sum is reduced mod p once, when it is read, and
+`element` returns one object per residue.
 
 Text syntax for scalars (presentation files and the command line): an
 integer, `num/den`, or `a+b*w` / `a-b*w` where `w` denotes the cube root.
@@ -285,6 +291,18 @@ class Field:
     def characteristic(self) -> int:
         raise NotImplementedError
 
+    def lift(self, x):
+        """The value an exact engine computes with in place of the element x."""
+        return x
+
+    def settle(self, v):
+        """The canonical value of a sum or product of values; false exactly at zero."""
+        return v
+
+    def element(self, v):
+        """The field element of a settled value."""
+        return v
+
     def theta(self):
         raise NotImplementedError
 
@@ -406,12 +424,27 @@ class PrimeField(Field):
             raise ValueError(f"GF(p) needs p < 10^14 for its trial-division primality test, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        # `element` builds one object per residue for this field object, so
+        # what the engines return shares its coefficients
+        object.__setattr__(self, "_elements", {})
 
     def from_int(self, n):
         return _modp_class(self.p)(n)
 
     def characteristic(self):
         return self.p
+
+    def lift(self, x):
+        return int(x)
+
+    def settle(self, v):
+        return v % self.p
+
+    def element(self, v):
+        e = self._elements.get(v)
+        if e is None:
+            e = self._elements[v] = _modp_class(self.p)(v)
+        return e
 
     def theta(self):
         if self.p % 3 != 1:

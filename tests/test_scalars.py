@@ -312,3 +312,26 @@ def test_parse_field_names():
         GF(4)
     with pytest.raises(CharThreeError):
         parse_field("GF(3)")
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_THETA, GF(7), GF(31), GF(1000003), GF(10**13 + 37)])
+def test_field_value_hooks(field):
+    # the exact engines compute on lift(x), settle sums and build elements
+    # back with element(); for every field this must be field arithmetic
+    rng = random.Random(41 + field.characteristic())
+    lift, settle, element = field.lift, field.settle, field.element
+    p = field.characteristic()
+    element_type = type(field.one)
+    for _ in range(200):
+        a, b, c = (random_scalar(field, rng) for _ in range(3))
+        if rng.random() < 0.25:
+            c = -(a * b)  # a sum that is zero, over GF(p) a nonzero multiple of p
+        v = settle(lift(a) * lift(b) + lift(c))
+        assert element(v) == a * b + c
+        assert type(element(v)) is element_type
+        assert bool(v) == bool(a * b + c)
+        assert element(settle(lift(a))) == a
+        if p:
+            assert type(v) is int and 0 <= v < p
+            assert element(v) is element(v)  # one object per residue
+    assert not settle(lift(field.zero)) and settle(lift(field.one))
