@@ -71,12 +71,13 @@ class LeadIndex:
     the word g_1...g_n is the base-B number with digits g_1, ..., g_n, most
     significant first.  So distinct words, of any lengths, have distinct
     codes, deg-lex order is integer order, and the empty word is 0.  The
-    first reduction builds the packed tables (`tables`): `codes` sends the
-    code of each lead to its element, and `tails` holds, per lead code, the
-    element's other terms as (code, B^length, value of the negated
-    coefficient), the value being `field.lift` of it (`scalars.Field`).  A
-    tail is built the first time a reduction rewrites with its element.  An
-    index that never reduces holds none of this.
+    first reduction or `is_normal` test builds the packed tables (`tables`):
+    `codes` sends the code of each lead to its element, and `tails` holds,
+    per lead code, the element's other terms as (code, B^length, value of
+    the negated coefficient), the value being `field.lift` of it
+    (`scalars.Field`).  A tail is built the first time a reduction rewrites
+    with its element.  An index that never reduces or tests a word holds
+    none of this.
 
     The index decodes each word it outputs once, so the normal forms it
     returns and the elements `monic` makes share their word tuples; they
@@ -143,6 +144,12 @@ class LeadIndex:
         for g in word:
             code = code * base + digit[g]
         return code
+
+    def is_normal(self, word) -> bool:
+        """No lead word of the index occurs in `word`: one packed redex
+        search, no reduction."""
+        codes, _, suffixes = self.tables(len(word))
+        return _find_redex(self.encode(word), codes, suffixes) is None
 
     def tail(self, code, lift):
         """The packed tail of the element whose lead has this code."""
@@ -318,8 +325,7 @@ def _normal_form_terms(terms, index, field):
 def _has_interior_lead(word, index):
     """Some lead of the index occurs in `word` after its first letter and
     before its last."""
-    codes, _, suffixes = index.tables(len(word))
-    return _find_redex(index.encode(word[1:-1]), codes, suffixes) is not None
+    return not index.is_normal(word[1:-1])
 
 
 def _proper_overlaps(w1, w2):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import IncompleteBasisError
 from .groebner import (
     GroebnerBasis,
     Presentation,
@@ -111,34 +112,72 @@ class DualHypotheses:
     no_dual_degree1_right_annihilator: bool
 
 
-def _stacked_kernel_dim(basis: GroebnerBasis, products):
-    """dim of {sum c_j v_j : its product with every multiplier is 0}, where
-    products[j] lists the products of the vector v_j with each multiplier.
+def _stacked_kernel_dim(basis: GroebnerBasis, vectors, products):
+    """dim of {sum c_j v_j : its product with every multiplier m_i is 0},
+    where vectors[j] is the word v_j and products[j][i] is the word of v_j
+    times m_i.
 
-    Row j holds those products reduced, keyed by (multiplier index, normal
-    word); the rows span the image, so the kernel dimension is the number
-    of vectors minus their rank, found by sparse elimination.
+    Preconditions, each checked: the vector words are distinct and have one
+    length; every product puts its multiplier on the same side, and column i
+    holds the same multiplier m_i in every row; the basis is certified
+    through the longest product.
+
+    Lead-word certificate: if every v_j has some multiplier whose product
+    word is normal, the kernel is 0, and no product is reduced.  Take
+    u = sum c_j v_j != 0 with largest word v* and v* m normal.  Deg-lex is
+    multiplicative, so every other v_j m is a smaller word, and its normal
+    form holds only words at or below it; so u m has coefficient c* at v* m,
+    and u is not in the kernel.  The same holds for m v_j.  The normality
+    test reads the basis's lead words.
+
+    Otherwise row j holds the products of v_j reduced, keyed by (multiplier
+    index, normal word); the rows span the image, so the kernel dimension is
+    the number of vectors minus their rank, found by sparse elimination.
     """
-    ech = SparseEchelon(basis.field, lambda col: col)
-    for prods in products:
-        row = {}
-        for mi, prod in enumerate(prods):
-            row.update(((mi, w), c) for w, c in basis.reduce(prod).terms.items())
-        ech.add(row)
+    if not vectors:
+        return 0
+    n = len(vectors[0])
+    if len(set(vectors)) != len(vectors) or any(len(v) != n for v in vectors):
+        raise ValueError("the vector words must be distinct and have one length")
+    if len(products) != len(vectors):
+        raise ValueError("one row of products per vector word")
+    rows = list(zip(vectors, products))
+    right = [p[n:] for p in products[0]]
+    left = [p[: len(p) - n] for p in products[0]]
+    on_right = all(list(row) == [v + m for m in right] for v, row in rows)
+    if not (on_right or all(list(row) == [m + v for m in left] for v, row in rows)):
+        raise ValueError("each product must be its vector times the column's multiplier, on one side")
+    degree = n + max(map(len, right), default=0)
+    if degree > basis.degree_bound:
+        raise IncompleteBasisError(f"products of degree {degree}, basis certified to {basis.degree_bound}")
+    if all(any(map(basis.index.is_normal, row)) for row in products):
+        return 0
+    field, ngens = basis.field, basis.presentation.ngens
+    ech = SparseEchelon(field, lambda col: col)
+    for row in products:
+        stacked = {}
+        for mi, w in enumerate(row):
+            reduced = basis.reduce(NcPoly.monomial(field, ngens, w))
+            stacked.update(((mi, u), c) for u, c in reduced.terms.items())
+        ech.add(stacked)
     return len(products) - ech.rank
 
 
 def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
     """Check the dual-algebra hypotheses: dual degree 4 vanishes, degree 3 is
     one-dimensional, and no nonzero dual degree-1 element annihilates the dual
-    degree-2 component from either side."""
+    degree-2 component from either side.
+
+    The annihilator sides multiply the generator words by the normal words
+    of dual degree 2 (`_stacked_kernel_dim`); a side with a normal product
+    for every generator is settled from the lead words alone.
+    """
     dual = dual_algebra(algebra)
     g = dual.groebner(4)
     levels = normal_words_by_degree(g, 4)
-    dual2 = [NcPoly.monomial(dual.field, dual.ngens, w) for w in levels[2]]
-    gens = [NcPoly.gen(dual.field, dual.ngens, j) for j in range(dual.ngens)]
-    left_ann = _stacked_kernel_dim(g, [[x * m for m in dual2] for x in gens])
-    right_ann = _stacked_kernel_dim(g, [[m * x for m in dual2] for x in gens])
+    gens = [(j,) for j in range(dual.ngens)]
+    left_ann = _stacked_kernel_dim(g, gens, [[x + m for m in levels[2]] for x in gens])
+    right_ann = _stacked_kernel_dim(g, gens, [[m + x for m in levels[2]] for x in gens])
     return DualHypotheses(
         dual4_zero=not levels[4],
         dual3_dim=len(levels[3]),
@@ -148,10 +187,14 @@ def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
 
 
 def right_annihilator_dim(algebra: QuadraticAlgebra, degree: int) -> int:
-    """dim of {u in A_d : x_i * u = 0 for every generator}, by exact kernel
-    computation of the stacked left-multiplication maps."""
+    """dim of {u in A_d : x_i * u = 0 for every generator}: the kernel of the
+    stacked left multiplications on the normal words of degree d.
+
+    When every such word u has a generator with x_i * u normal (as when x_i
+    starts no lead word), the answer 0 comes from the lead words without a
+    reduction; otherwise the kernel is computed exactly
+    (`_stacked_kernel_dim`).
+    """
     g = algebra.groebner(degree + 1)
     words = normal_words_by_degree(g, degree)[degree]
-    vectors = [NcPoly.monomial(algebra.field, algebra.ngens, w) for w in words]
-    gens = [NcPoly.gen(algebra.field, algebra.ngens, j) for j in range(algebra.ngens)]
-    return _stacked_kernel_dim(g, [[x * u for x in gens] for u in vectors])
+    return _stacked_kernel_dim(g, words, [[(i,) + u for i in range(algebra.ngens)] for u in words])

@@ -398,20 +398,20 @@ def test_high_degree_series_counted():
     assert mono == [1] + [3 * 2 ** (d - 1) for d in range(1, 31)]
 
 
-def dense_kernel_dim(basis, vectors, multipliers, vector_side):
-    """dim of {sum c_j vectors[j] : its product with every multiplier is 0},
+def dense_kernel_dim(basis, products):
+    """dim of {sum c_j v_j : its product with every multiplier is 0}, where
+    products[j] lists the products of the vector v_j with each multiplier,
     by the dense rank of the stacked product matrix: the reference for the
-    sparse elimination in the annihilator checks."""
+    annihilator checks."""
     rows = []
-    for v in vectors:
+    for prods in products:
         row = {}
-        for mi, m in enumerate(multipliers):
-            prod = v * m if vector_side == "left" else m * v
+        for mi, prod in enumerate(prods):
             row.update(((mi, w), c) for w, c in basis.reduce(prod).terms.items())
         rows.append(row)
     cols = sorted({col for row in rows for col in row})
     zero = basis.field.zero
-    return len(vectors) - dense_rank([[row.get(col, zero) for col in cols] for row in rows], basis.field)
+    return len(products) - dense_rank([[row.get(col, zero) for col in cols] for row in rows], basis.field)
 
 
 def random_sparse_quadratic(rng):
@@ -439,7 +439,7 @@ def test_annihilators_match_dense_rank():
         for d in range(6):
             words = normal_words(g, d)
             vectors = [NcPoly.monomial(alg.field, 3, w) for w in words]
-            expected = dense_kernel_dim(g, vectors, gens, "right") if words else 0
+            expected = dense_kernel_dim(g, [[x * v for x in gens] for v in vectors]) if words else 0
             assert right_annihilator_dim(alg, d) == expected, (label, d)
 
         dual = dual_algebra(alg)
@@ -447,8 +447,8 @@ def test_annihilators_match_dense_rank():
         gd = complete(dual.presentation, 4)
         dual2 = [NcPoly.monomial(dual.field, 3, w) for w in normal_words(gd, 2)]
         if dual2:
-            left = dense_kernel_dim(gd, gens, dual2, "left")
-            right = dense_kernel_dim(gd, gens, dual2, "right")
+            left = dense_kernel_dim(gd, [[x * m for m in dual2] for x in gens])
+            right = dense_kernel_dim(gd, [[m * x for m in dual2] for x in gens])
         else:
             left = right = 3
         report = dual_hypotheses(alg)

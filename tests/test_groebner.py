@@ -630,9 +630,10 @@ def test_lazy_residues_match_reference(monkeypatch):
 
 
 def test_normal_forms_share_words_and_elements():
-    # the index decodes each word once and builds one GF(p) element per
-    # residue, so its normal forms share them, and so do the elements of a
-    # basis from `complete`
+    # the index decodes each word once, and `PrimeField.element` gives one
+    # object per residue of a field object, so the index's normal forms
+    # share words and elements, and so do the elements of a basis from
+    # `complete`
     p = staircase_pairs(505)[1]
     g = complete(p, 10)
     f31 = p.field

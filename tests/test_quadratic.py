@@ -3,17 +3,23 @@
 import random
 from fractions import Fraction
 
-from ncquad import GF, QQ
-from ncquad.groebner import Presentation, graded_dim_oracle
+import pytest
+
+from ncquad import GF, QQ, QQ_THETA
+from ncquad.errors import IncompleteBasisError
+from ncquad.groebner import GroebnerBasis, Presentation, complete, graded_dim_oracle, normal_words
 from ncquad.linalg import row_space_equal
 from ncquad.ncpoly import NcPoly, parse_poly
 from ncquad.quadratic import (
     QuadraticAlgebra,
+    _stacked_kernel_dim,
     dual_hypotheses,
     dual_algebra,
     koszul_defect,
     right_annihilator_dim,
 )
+from test_acceptance import CORPUS, dense_kernel_dim, pres_text, random_sparse_quadratic, random_triple
+from test_groebner import staircase_pairs
 
 NAMES = ("x", "y", "z")
 X, Y, Z = 0, 1, 2
@@ -171,3 +177,122 @@ def test_relation_independence_reduction():
     r2 = parse_poly("2*x*y - 2*y*x", QQ, NAMES)
     a = QuadraticAlgebra(Presentation(QQ, 3, (r1, r2)))
     assert a.rdim == 1
+
+
+def annihilator_algebras():
+    """The set of `test_acceptance.test_annihilators_match_dense_rank`: the
+    corpus, two seeded triples each over GF(31), Q and Q(w), and six sparse
+    GF(31) algebras."""
+    rng = random.Random(511)
+    algebras = [(name, QuadraticAlgebra(pres_text(name))) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
+    for field in (GF(31), QQ, QQ_THETA):
+        for _ in range(2):
+            t = random_triple(field, rng)
+            algebras.append((t, QuadraticAlgebra(t.presentation())))
+    algebras += [(f"sparse {i}", random_sparse_quadratic(rng)) for i in range(6)]
+    return algebras
+
+
+def every_vector_has_a_normal_product(products, normal):
+    return all(any(w in normal for w in row) for row in products)
+
+
+def count_reductions(monkeypatch):
+    calls = []
+    reduce = GroebnerBasis.reduce
+
+    def counted(self, f):
+        calls.append(f)
+        return reduce(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    return calls
+
+
+def test_lead_word_certificate_is_sound():
+    # wherever every vector word has a normal product (normality read off
+    # the listed normal words), the dense rank of the reduced products
+    # leaves no kernel
+    certified = fallbacks = 0
+    for label, alg in annihilator_algebras():
+        field = alg.field
+        gens = [NcPoly.gen(field, 3, j) for j in range(3)]
+        g = complete(alg.presentation, 6)
+        for d in range(6):
+            words = normal_words(g, d)
+            products = [[(i,) + u for i in range(3)] for u in words]
+            normal = set(normal_words(g, d + 1))
+            # the helper's normality test agrees with the listed words
+            assert all(g.index.is_normal(w) == (w in normal) for row in products for w in row), (label, d)
+            if words and every_vector_has_a_normal_product(products, normal):
+                certified += 1
+                vectors = [NcPoly.monomial(field, 3, w) for w in words]
+                assert dense_kernel_dim(g, [[x * v for x in gens] for v in vectors]) == 0, (label, d)
+            else:
+                fallbacks += 1
+
+        gd = complete(dual_algebra(alg).presentation, 4)
+        dual2 = normal_words(gd, 2)
+        dual3 = set(normal_words(gd, 3))
+        monomials = [NcPoly.monomial(field, 3, w) for w in dual2]
+        for products, dense in (
+            ([[(j,) + m for m in dual2] for j in range(3)], [[x * m for m in monomials] for x in gens]),
+            ([[m + (j,) for m in dual2] for j in range(3)], [[m * x for m in monomials] for x in gens]),
+        ):
+            if every_vector_has_a_normal_product(products, dual3):
+                certified += 1
+                assert dense_kernel_dim(gd, dense) == 0, label
+            else:
+                fallbacks += 1
+    assert (certified, fallbacks) == (119, 41)
+
+
+def test_lead_word_certificate_is_taken(monkeypatch):
+    # z starts no lead word in each of these, so x_i * u is normal for
+    # x_i = z and no product is reduced
+    rng = random.Random(1901)
+    algebras = [
+        QuadraticAlgebra(pres_text("free.alg")),
+        QuadraticAlgebra(pres_text("sklyanin_1_w_2.alg")),
+        QuadraticAlgebra(random_triple(QQ_THETA, rng).presentation()),
+        QuadraticAlgebra(staircase_pairs(1313)[1]),  # the k = 2 staircase
+    ]
+    calls = count_reductions(monkeypatch)
+    for alg in algebras:
+        assert all(lead[0] != Z for lead in alg.groebner(6).lead_words())
+        assert [right_annihilator_dim(alg, d) for d in range(6)] == [0] * 6
+    assert calls == []
+
+
+def test_lead_word_certificate_falls_back(monkeypatch):
+    calls = count_reductions(monkeypatch)
+    w_dual = QuadraticAlgebra(pres_text("w_dual.alg"))
+    for d, expected in ((1, 0), (2, 0), (3, 1)):
+        calls.clear()
+        assert right_annihilator_dim(w_dual, d) == expected
+        assert calls, d
+
+    # the dual of the free algebra has no degree-2 words: no multiplier, so
+    # each generator is in the kernel on both sides
+    g = dual_algebra(FREE).groebner(4)
+    gens = [(j,) for j in range(3)]
+    assert normal_words(g, 2) == []
+    assert _stacked_kernel_dim(g, gens, [[] for _ in gens]) == 3
+    assert _stacked_kernel_dim(g, [], []) == 0
+
+
+def test_stacked_kernel_preconditions():
+    g = complete(S121.presentation, 3)
+    x, y, z = (X,), (Y,), (Z,)
+    with pytest.raises(ValueError):  # repeated vector word
+        _stacked_kernel_dim(g, [x, x], [[x + z], [x + z]])
+    with pytest.raises(ValueError):  # vector words of two lengths
+        _stacked_kernel_dim(g, [x, y + z], [[x + z], [y + z + z]])
+    with pytest.raises(ValueError):  # multiplier on the right, then the left
+        _stacked_kernel_dim(g, [x, y], [[x + z], [z + y]])
+    with pytest.raises(ValueError):  # two multipliers in one column
+        _stacked_kernel_dim(g, [x, y], [[x + z], [y + y]])
+    with pytest.raises(ValueError):  # a row per vector
+        _stacked_kernel_dim(g, [x, y], [[x + z]])
+    with pytest.raises(IncompleteBasisError):  # zzzz is normal for the leads to degree 3
+        _stacked_kernel_dim(g, [z + z + z], [[z + z + z + z]])
