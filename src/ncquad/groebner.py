@@ -73,11 +73,22 @@ class LeadIndex:
     codes, deg-lex order is integer order, and the empty word is 0.  The
     first reduction or `is_normal` test builds the packed tables (`tables`):
     `codes` sends the code of each lead to its element, and `tails` holds,
-    per lead code, the element's other terms as (code, B^length, value of
-    the negated coefficient), the value being `field.lift` of it
-    (`scalars.Field`).  A tail is built the first time a reduction rewrites
-    with its element.  An index that never reduces or tests a word holds
-    none of this.
+    per lead code, the element's other terms as two tuples: their
+    (code, B^length) pairs and the values of their negated coefficients,
+    each value being `field.lift` of it (`scalars.Field`).  A tail is built
+    the first time a reduction rewrites with its element.  An index that
+    never reduces or tests a word holds none of this.
+
+    `memo` is None, or the kernel's memo of rewrites (`_normal_form_terms`),
+    keyed by negated word codes: a reducible word maps to the tuple of the
+    negated codes its step writes and the lead's shared tail values, a
+    normal word to a mark.  `complete` gives its index a new memo at each
+    degree; any other reduction keeps its memo for one call only.  The
+    memo stays sound while no added lead is shorter than a memoized word,
+    which `complete` keeps, since a degree meets only words of its length.
+    `add` drops what goes stale: a new lead was a normal word, so its mark
+    goes; an element replaced with a new tail empties the memo once some
+    entry may have rewritten with it, that is, once its tail was built.
 
     The index decodes each word it outputs once, so the normal forms it
     returns and the elements `monic` makes share their word tuples; they
@@ -91,6 +102,7 @@ class LeadIndex:
         self.lengths = []
         self.steps = 0
         self.codes = None
+        self.memo = None
         for g in elements:
             self.add(g)
 
@@ -105,7 +117,12 @@ class LeadIndex:
         if self.codes is not None:
             code = self.encode(lead)
             self.codes[code] = g
-            self.tails.pop(code, None)
+            rewrote = self.tails.pop(code, None) is not None
+            if self.memo:
+                if rewrote:
+                    self.memo.clear()
+                else:
+                    self.memo.pop(-code, None)
         return lead
 
     def tables(self, n):
@@ -156,7 +173,9 @@ class LeadIndex:
         g = self.codes[code]
         lead = g.leading_word(self.order)
         powers, encode = self._powers, self.encode
-        self.tails[code] = tail = [(encode(t), powers[len(t)], lift(-c)) for t, c in g.terms.items() if t != lead]
+        terms = [(t, c) for t, c in g.terms.items() if t != lead]
+        words = tuple([(encode(t), powers[len(t)]) for t, _ in terms])
+        self.tails[code] = tail = (words, tuple([lift(-c) for _, c in terms]))
         return tail
 
     def unpack(self, out, field):
@@ -262,18 +281,29 @@ def _find_redex(code, codes, suffixes):
     return None
 
 
+_NORMAL = object()  # the memo's mark of a normal word
+
+
 def _normal_form_terms(terms, index, field):
     """Fully reduce a term dict, rewriting each word at its rightmost redex.
 
-    Words are carried as their packed codes (`LeadIndex`) and popped from a
-    heap of negated codes, so in descending monomial order; a step only
-    creates strictly smaller words, so a word is final when popped.  Modulo
-    a basis that is complete through the degree of the input, the normal
-    form is unique (Bergman's diamond lemma), so the redex choice changes
-    the number of steps, not the result.  Rewriting at the right end takes
-    about a third of the steps of the leftmost choice on the staircase
-    completions.  A step writes w = left.lead.right as
+    Words are carried as their negated packed codes (`LeadIndex`), which
+    key the work dict and fill a heap, so they pop in descending monomial
+    order; a step only creates strictly smaller words, so a word is final
+    when popped.  Modulo a basis that is complete through the degree of the
+    input, the normal form is unique (Bergman's diamond lemma), so the
+    redex choice changes the number of steps, not the result.  Rewriting at
+    the right end takes about a third of the steps of the leftmost choice
+    on the staircase completions.  A step writes w = left.lead.right as
     u = (left * B^|t| + t) * B^|right| + right for each tail term t.
+
+    The redex search and those codes depend only on w, so they are
+    memoized in `index.memo` (a memo for this call alone when it is None):
+    the first pop of w stores its rewrite, the negated codes u with the
+    lead's shared tail values, or the normal mark, and each later pop of w
+    replays it.  Within one call no word is popped twice; the memo pays
+    across the reductions of one degree of `complete`.  A monomial
+    element's rewrite is empty, which is a step to zero, not the mark.
 
     The kernel computes on the field's values (`field.lift`): a step adds
     c * lift(-ct) to a word unsettled, and the sum is settled once, when the
@@ -288,33 +318,44 @@ def _normal_form_terms(terms, index, field):
         return {}
     lift, settle = field.lift, field.settle
     codes, tails, suffixes = index.tables(max(map(len, terms)))
+    memo = index.memo
+    if memo is None:
+        memo = {}
     encode = index.encode
-    work = {encode(w): lift(c) for w, c in terms.items()}
-    heap = [-u for u in work]
+    work = {-encode(w): lift(c) for w, c in terms.items()}
+    heap = list(work)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     out = {}
     steps = 0
     while heap:
-        code = -heappop(heap)
-        c = settle(work.pop(code))
+        key = heappop(heap)
+        c = settle(work.pop(key))
         if not c:
             continue
-        hit = _find_redex(code, codes, suffixes)
-        if hit is None:
-            out[code] = c
+        rewrite = memo.get(key)
+        if rewrite is None:
+            code = -key
+            hit = _find_redex(code, codes, suffixes)
+            if hit is None:
+                rewrite = memo[key] = _NORMAL
+            else:
+                lead, high, q = hit
+                tail = tails.get(lead)
+                if tail is None:
+                    tail = index.tail(lead, lift)
+                left, right = code // high, code % q
+                words, values = tail
+                rewrite = memo[key] = (tuple([-((left * shift + t) * q + right) for t, shift in words]), values)
+        if rewrite is _NORMAL:
+            out[-key] = c
             continue
         steps += 1
-        lead, high, q = hit
-        tail = tails.get(lead)
-        if tail is None:
-            tail = index.tail(lead, lift)
-        left, right = code // high, code % q
-        for t, shift, nct in tail:
-            u = (left * shift + t) * q + right
+        us, values = rewrite
+        for u, nct in zip(us, values):
             acc = work.get(u)
             if acc is None:
-                heappush(heap, -u)
+                heappush(heap, u)
                 work[u] = c * nct
             else:
                 work[u] = acc + c * nct
@@ -355,6 +396,9 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     So the skipped overlap is resolvable relative to the order (Bergman's
     diamond lemma), and the reduced basis is the same as when every overlap
     is reduced.
+
+    The reductions of one degree share one memo of rewrites (`LeadIndex`),
+    which the next degree replaces; the returned basis holds none.
     """
     order = presentation.order
     field = presentation.field
@@ -383,6 +427,9 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
 
     stats = []
     for d in range(1, degree_bound + 1):
+        # the reductions of degree d meet only words of length d, so the
+        # rewrites of lower degrees are of no further use
+        index.memo = {}
         # the index holds every lead below d, and no degree-d lead fits
         # strictly inside a word of length d, so one check per degree suffices
         queued = queue.pop(d, [])

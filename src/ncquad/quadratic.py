@@ -50,6 +50,7 @@ class QuadraticAlgebra:
         )
         self.rdim = len(relations)
         self._basis: GroebnerBasis | None = None
+        self._dual: QuadraticAlgebra | None = None
 
     @property
     def field(self):
@@ -71,6 +72,13 @@ class QuadraticAlgebra:
 
     def hilbert(self, degree: int):
         return hilbert_coeffs(self.groebner(degree), degree)
+
+    def dual(self) -> QuadraticAlgebra:
+        """The dual algebra (`dual_algebra`), built on first use and kept, so
+        the Koszul checks share it and its basis."""
+        if self._dual is None:
+            self._dual = dual_algebra(self)
+        return self._dual
 
 
 def dual_algebra(algebra: QuadraticAlgebra) -> QuadraticAlgebra:
@@ -94,7 +102,7 @@ def koszul_defect(algebra: QuadraticAlgebra, degree: int):
     By the general theory a deviation, if any, first occurs at k >= 4.
     """
     h = algebra.hilbert(degree)
-    hd = dual_algebra(algebra).hilbert(degree)
+    hd = algebra.dual().hilbert(degree)
     for k in range(degree + 1):
         c = sum((-1) ** i * h[i] * hd[k - i] for i in range(k + 1))
         if c != (1 if k == 0 else 0):
@@ -172,7 +180,7 @@ def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
     of dual degree 2 (`_stacked_kernel_dim`); a side with a normal product
     for every generator is settled from the lead words alone.
     """
-    dual = dual_algebra(algebra)
+    dual = algebra.dual()
     g = dual.groebner(4)
     levels = normal_words_by_degree(g, 4)
     gens = [(j,) for j in range(dual.ngens)]

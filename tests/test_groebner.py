@@ -572,6 +572,31 @@ def test_completion_stats(monkeypatch):
     assert GroebnerBasis(p, g.elements, 8).stats == ()
 
 
+def test_long_staircase_stats():
+    # GF(31) pair (0, 2) enters the finite branch at k = 26: its leads grow
+    # with the degree, and the tail-reduction pass replaces elements at most
+    # degrees, so it is the memo's hardest case in the suite
+    f31 = GF(31)
+    res = substitution_chain(f31, f31.from_int(0), f31.from_int(2))
+    last = coefficient_recursion(f31, res.alpha, res.gamma, 30)[-1]
+    assert (last.k, last.outcome) == (26, RecursionOutcome.SIGMA)
+    g = complete(staircase_presentation(f31, res.alpha, res.gamma), 10)
+    assert [tuple(s) for s in g.stats] == [
+        (1, 0, 0, 0, 0, 0),
+        (2, 0, 0, 0, 3, 0),
+        (3, 3, 1, 13, 2, 0),
+        (4, 5, 3, 59, 2, 0),
+        (5, 7, 5, 252, 2, 0),
+        (6, 9, 7, 1238, 2, 0),
+        (7, 11, 9, 3965, 2, 0),
+        (8, 13, 11, 10463, 2, 0),
+        (9, 15, 13, 26056, 2, 0),
+        (10, 17, 15, 64287, 2, 0),
+    ]
+    assert sum(s.steps for s in g.stats) == 106333
+    assert len(g.elements) == 19 and hilbert_coeffs(g, 10)[-1] == 66
+
+
 def test_lazy_residues_match_reference(monkeypatch):
     # the kernel carries GF(p) coefficients as ints reduced once per word;
     # the reference does field-object arithmetic at every step
@@ -654,6 +679,89 @@ def test_normal_forms_share_words_and_elements():
     for w, c in tails:
         assert words.setdefault(w, w) is w and elements.setdefault(int(c), c) is c
     assert len(words) < len(tails) and len(elements) <= 30
+
+
+def reduce_all(index, polys):
+    return [index.reduce(f) for f in polys]
+
+
+def test_memo_drops_rewrites_of_a_replaced_element():
+    # the tail-reduction pass of `complete` replaces an element by one with
+    # the same lead and a new tail; no rewrite the memo took with the old
+    # element may be replayed, at the lead's length or above it
+    p = staircase_pairs(505)[1]
+    g = complete(p, 6)
+    f31, order = p.field, p.order
+    e = next(e for e in g.elements if len(e.leading_word(order)) == 3)
+    lead = e.leading_word(order)
+    quadratic = next(q for q in g.elements if q.degree() == 2)
+    m = quadratic.leading_word(order)
+    # one more term in the tail: e plus a multiple of a smaller word's element
+    sides = [((a,), ()) for a in range(3)] + [((), (a,)) for a in range(3)]
+    left, right = next((u, v) for u, v in sides if order.key(u + m + v) < order.key(lead))
+    shifted = NcPoly.monomial(f31, 3, left, f31.from_int(3)) * quadratic * NcPoly.monomial(f31, 3, right)
+    unreduced = e + shifted
+    assert unreduced.leading_word(order) == lead and unreduced != e
+    rng = random.Random(1111)
+    polys = []
+    for n in (3, 4, 6):
+        # the lead at every position of a word of n letters, and random words
+        around = tuple(rng.randrange(3) for _ in range(n - 3))
+        words = {around[:k] + lead + around[k:] for k in range(n - 2)}
+        words |= {tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)}
+        polys.append(NcPoly(f31, 3, {w: f31.from_int(rng.randrange(1, 31)) for w in words}))
+    index = LeadIndex(order, [unreduced if x is e else x for x in g.elements])
+    index.memo = {}
+    before = reduce_all(index, polys)
+    fresh = LeadIndex(order, g.elements)
+    assert before == reduce_all(fresh, polys) and index.steps != fresh.steps
+    assert index.add(e) == lead
+    index.steps = 0
+    assert reduce_all(index, polys) == before and index.steps == fresh.steps
+
+
+def test_memo_forgets_a_new_lead_was_normal():
+    # a lead added in the middle of a degree was a normal word, and the word
+    # equal to it must reduce from then on
+    p = parse_presentation((CORPUS / "w.alg").read_text())
+    g = complete(p, 4)
+    field, order = p.field, p.order
+    cubic = g.elements[3]
+    lead = cubic.leading_word(order)
+    assert lead == (X, Z, X) and len(cubic.terms) > 1
+    index = LeadIndex(order, [e for e in g.elements if e.degree() == 2])
+    index.memo = {}
+    word = NcPoly.monomial(field, 3, lead)
+    assert index.reduce(word) == word
+    index.add(cubic)
+    assert index.reduce(word) == LeadIndex(order, g.elements).reduce(word) != word
+
+
+def test_memo_rewrites_a_monomial_element_to_zero():
+    # w.alg's y*y*y is a monomial element: its rewrite is empty, which is
+    # not the mark of a normal word, from the memo or not
+    p = parse_presentation((CORPUS / "w.alg").read_text())
+    g = complete(p, 4)
+    field, order = p.field, p.order
+    yyy = NcPoly.monomial(field, 3, (Y, Y, Y))
+    assert yyy in g.elements
+    index = LeadIndex(order, g.elements)
+    index.memo = {}
+    for _ in range(2):
+        steps = index.steps
+        assert index.reduce(yyy) == NcPoly.zero(field, 3)
+        assert index.steps == steps + 1
+    assert index.memo
+
+
+def test_bases_hold_no_memo():
+    # the memo lives for one degree of one `complete` call
+    p = parse_presentation((CORPUS / "w.alg").read_text())
+    g = complete(p, 6)
+    assert not g.index.memo
+    f = NcPoly(p.field, 3, {w: p.field.one for w in itertools.product(range(3), repeat=5)})
+    assert g.reduce(f) != f and g.index.steps > 0
+    assert not g.index.memo
 
 
 def test_contributions_summing_to_p_cancel():

@@ -161,6 +161,21 @@ def test_one_completion_kept():
     assert g6.degree_bound == 6 and alg.groebner(4) is g6
 
 
+def test_one_dual_kept(monkeypatch):
+    # the Koszul checks build the dual once, through the module attribute
+    # that the traced benchmark wraps, and share it with its basis
+    import ncquad.quadratic as quadratic
+
+    built = []
+    monkeypatch.setattr(quadratic, "dual_algebra", lambda alg: built.append(dual_algebra(alg)) or built[-1])
+    alg = algebra_w()
+    report = dual_hypotheses(alg)
+    assert koszul_defect(alg, 6) == 4 and koszul_defect(alg, 4) == 4
+    assert report == dual_hypotheses(alg)
+    assert len(built) == 1 and alg.dual() is built[0]
+    assert built[0].groebner(4).degree_bound == 6
+
+
 def test_dim3_from_dual_dims():
     # dim A_3 = d1*dim A_2 - d2*dim A_1 + d3 via the degree-3 series identity
     for alg, expected in ((FREE, 27), (MONO, 12), (S121, 10)):
