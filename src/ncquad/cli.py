@@ -194,10 +194,11 @@ def _dual(pres, degree):
 
 def _koszul(pres, degree):
     alg = QuadraticAlgebra(pres)
-    report = dual_hypotheses(alg)
+    # the defect completes the shared dual to `degree` first, so that the
+    # hypotheses' degree-4 basis reuses it when degree >= 4
     return {
         "defect": koszul_defect(alg, degree),
-        "dual_hypotheses": dataclasses.asdict(report),
+        "dual_hypotheses": dataclasses.asdict(dual_hypotheses(alg)),
         "right_annihilator_dims": [right_annihilator_dim(alg, d) for d in range(1, degree)],
     }
 

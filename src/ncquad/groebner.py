@@ -71,15 +71,17 @@ class LeadIndex:
     the word g_1...g_n is the base-B number with digits g_1, ..., g_n, most
     significant first.  So distinct words, of any lengths, have distinct
     codes, deg-lex order is integer order, and the empty word is 0.  The
-    first reduction or `is_normal` test builds the packed tables (`tables`):
+    first reduction, `is_normal` test or degree of `complete` builds the
+    packed tables (`tables`):
     `codes` sends the code of each lead to its element, and `tails` holds,
     per lead code, the element's other terms as two tuples: their
     (code, B^length) pairs and the values of their negated coefficients,
     each value being `field.lift` of it (`scalars.Field`).  A tail is built
-    the first time a reduction rewrites with its element.  An index that
-    never reduces or tests a word holds none of this.
+    the first time a reduction rewrites with its element or an S-polynomial
+    (`s_polynomial`) reads it.  An index that never reduces or tests a word
+    holds none of this.
 
-    `memo` is None, or the kernel's memo of rewrites (`_normal_form_terms`),
+    `memo` is None, or the kernel's memo of rewrites (`_normal_form`),
     keyed by negated word codes: a reducible word maps to the tuple of the
     negated codes its step writes and the lead's shared tail values, a
     normal word to a mark.  `complete` gives its index a new memo at each
@@ -177,6 +179,24 @@ class LeadIndex:
         words = tuple([(encode(t), powers[len(t)]) for t, _ in terms])
         self.tails[code] = tail = (words, tuple([lift(-c) for _, c in terms]))
         return tail
+
+    def s_polynomial(self, code, d, a, b, lift):
+        """The S-polynomial tail_i.R - L.tail_j of the overlap w = w_i.R =
+        L.w_j, of d letters and with this code, of leads of a and b letters,
+        as packed work read off the leads' packed tails."""
+        powers, tails = self._powers, self.tails
+        shift = powers[d - a]
+        ci, right = divmod(code, shift)
+        left, cj = divmod(code, powers[b])
+        words_i, values_i = tails.get(ci) or self.tail(ci, lift)
+        words_j, values_j = tails.get(cj) or self.tail(cj, lift)
+        # the stored values are lift(-c), so the terms of tail_i are negated
+        work = {-(t * shift + right): -v for (t, _), v in zip(words_i, values_i)}
+        for (t, tshift), v in zip(words_j, values_j):
+            u = -(left * tshift + t)
+            acc = work.get(u)
+            work[u] = v if acc is None else acc + v
+        return work
 
     def unpack(self, out, field):
         """Terms of a packed normal form with settled values, each word
@@ -285,17 +305,30 @@ _NORMAL = object()  # the memo's mark of a normal word
 
 
 def _normal_form_terms(terms, index, field):
-    """Fully reduce a term dict, rewriting each word at its rightmost redex.
+    """Fully reduce a term dict: its words encoded as packed work for
+    `_normal_form`."""
+    if not terms:
+        return {}
+    n = max(map(len, terms))
+    index.tables(n)  # the encoding is built with the tables
+    encode, lift = index.encode, field.lift
+    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, n, index, field)
 
-    Words are carried as their negated packed codes (`LeadIndex`), which
-    key the work dict and fill a heap, so they pop in descending monomial
-    order; a step only creates strictly smaller words, so a word is final
-    when popped.  Modulo a basis that is complete through the degree of the
-    input, the normal form is unique (Bergman's diamond lemma), so the
-    redex choice changes the number of steps, not the result.  Rewriting at
-    the right end takes about a third of the steps of the leftmost choice
-    on the staircase completions.  A step writes w = left.lead.right as
-    u = (left * B^|t| + t) * B^|right| + right for each tail term t.
+
+def _normal_form(work, n, index, field):
+    """Fully reduce packed work, rewriting each word at its rightmost redex.
+
+    `work` maps the negated packed codes (`LeadIndex`) of words of at most
+    n letters to their unsettled values (`field.lift`); the reduction
+    consumes it.  The negated codes key the work dict and fill a heap, so
+    words pop in descending monomial order; a step only creates strictly
+    smaller words, so a word is final when popped.  Modulo a basis that is
+    complete through n, the normal form is unique (Bergman's diamond
+    lemma), so the redex choice changes the number of steps, not the
+    result.  Rewriting at the right end takes about a third of the steps of
+    the leftmost choice on the staircase completions.  A step writes
+    w = left.lead.right as u = (left * B^|t| + t) * B^|right| + right for
+    each tail term t.
 
     The redex search and those codes depend only on w, so they are
     memoized in `index.memo` (a memo for this call alone when it is None):
@@ -305,24 +338,21 @@ def _normal_form_terms(terms, index, field):
     across the reductions of one degree of `complete`.  A monomial
     element's rewrite is empty, which is a step to zero, not the mark.
 
-    The kernel computes on the field's values (`field.lift`): a step adds
-    c * lift(-ct) to a word unsettled, and the sum is settled once, when the
-    word is popped; over GF(p) that is one reduction mod p per word (delayed
-    reduction, as in Monagan and Pearce's heap division).  The index decodes
-    the output words and builds the output elements, each once.  A word
-    whose coefficient settles to zero is skipped at the pop.  Such a word is
-    never rewritten, so the steps are the same as with a zero test at every
-    sum.
+    A step adds c * lift(-ct) to a word unsettled, and the sum is settled
+    once, when the word is popped; over GF(p) that is one reduction mod p
+    per word (delayed reduction, as in Monagan and Pearce's heap division).
+    The index decodes the output words and builds the output elements, each
+    once.  A word whose coefficient settles to zero is skipped at the pop.
+    Such a word is never rewritten, so the steps are the same as with a
+    zero test at every sum.
     """
-    if not terms:
-        return {}
     lift, settle = field.lift, field.settle
-    codes, tails, suffixes = index.tables(max(map(len, terms)))
+    # the lead lengths may have changed since the last call, and with them
+    # the rows of the redex search
+    codes, tails, suffixes = index.tables(n)
     memo = index.memo
     if memo is None:
         memo = {}
-    encode = index.encode
-    work = {-encode(w): lift(c) for w, c in terms.items()}
     heap = list(work)
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -397,6 +427,14 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     diamond lemma), and the reduced basis is the same as when every overlap
     is reduced.
 
+    Every reduction takes packed work (`_normal_form`).  For the overlap of
+    leads L.w_j = w_i.R, the S-polynomial tail_i.R - L.tail_j is read off
+    the two elements' packed tails in the index, with no polynomial
+    arithmetic: a tail word t of i becomes t.B^|R| + code(R), with its
+    stored value lift(-c) negated, and a tail word t of j becomes
+    code(L).B^|t| + t, with its stored value.  The obstructions of a degree
+    go in packed-code order, which is deg-lex order.
+
     The reductions of one degree share one memo of rewrites (`LeadIndex`),
     which the next degree replaces; the returned basis holds none.
     """
@@ -423,32 +461,34 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
         for k in _proper_overlaps(wi, wj):
             d = len(wi) + len(wj) - k
             if d <= degree_bound:
-                queue.setdefault(d, []).append((wi + wj[k:], i, j, k))
+                queue.setdefault(d, []).append((wi + wj[k:], i, j))
 
+    lift = field.lift
     stats = []
     for d in range(1, degree_bound + 1):
         # the reductions of degree d meet only words of length d, so the
         # rewrites of lower degrees are of no further use
         index.memo = {}
+        # the encoding and the powers of B up to d, for the S-polynomials
+        index.tables(d)
         # the index holds every lead below d, and no degree-d lead fits
-        # strictly inside a word of length d, so one check per degree suffices
+        # strictly inside a word of length d, so one check per degree
+        # suffices; packed codes sort in deg-lex order
         queued = queue.pop(d, [])
-        items = [item for item in queued if not _has_interior_lead(item[0], index)]
-        items.sort(key=lambda item: (order.key(item[0]), item[1], item[2], item[3]))
-        spolys = (
-            basis[i] * NcPoly.monomial(field, ngens, leads[j][k:])
-            - NcPoly.monomial(field, ngens, leads[i][: len(leads[i]) - k]) * basis[j]
-            for _, i, j, k in items
+        items = sorted((index.encode(w), i, j) for w, i, j in queued if not _has_interior_lead(w, index))
+        spolys = (index.s_polynomial(code, d, len(leads[i]), len(leads[j]), lift) for code, i, j in items)
+        reduced = itertools.chain(
+            (_normal_form_terms(r.terms, index, field) for r in relations.get(d, ())),
+            (_normal_form(work, d, index, field) for work in spolys),
         )
         new_idx = []
         zero = 0
         steps_before = index.steps
-        for f in itertools.chain(relations.get(d, ()), spolys):
-            h = index.reduce(f)
+        for h in reduced:
             if not h:
                 zero += 1
                 continue
-            h = index.monic(h)
+            h = index.monic(NcPoly(field, ngens, h))
             basis.append(h)
             leads.append(index.add(h))
             m = len(basis) - 1
@@ -461,11 +501,11 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
         # leads are normal for each other, only tails can interact
         for m in new_idx:
             lead = leads[m]
-            tail = NcPoly(field, ngens, {w: c for w, c in basis[m].terms.items() if w != lead})
-            red = index.reduce(tail)
+            terms = basis[m].terms
+            tail = {w: c for w, c in terms.items() if w != lead}
+            red = _normal_form_terms(tail, index, field)
             if red != tail:
-                g = NcPoly.monomial(field, ngens, lead, basis[m].terms[lead]) + red
-                basis[m] = g
+                basis[m] = g = NcPoly(field, ngens, {lead: terms[lead], **red})
                 index.add(g)
         stats.append(
             DegreeStats(d, len(items), zero, index.steps - steps_before, len(new_idx), len(queued) - len(items))

@@ -116,7 +116,9 @@ class SparseEchelon:
     does: a step adds -f * t to an entry unsettled, an entry is settled
     (over GF(p), reduced mod p) when its column is eliminated and when the
     remainder is returned, and `field.element` builds the elements that
-    `reduce` returns.
+    `reduce` returns.  A row passed in may hold elements or values, as
+    the oracle's rows do: `add` and `reduce` lift every entry, and a
+    value lifts to itself.
     """
 
     def __init__(self, field, key):

@@ -13,10 +13,13 @@ Exact engines (the reduction kernel, the sparse echelon, the dimension
 oracle) compute on values, not elements, through three hooks of the field:
 `lift(x)` is the value of an element, sums and products of values stay
 unsettled, `settle(v)` makes a sum canonical (false exactly at zero), and
-`element(v)` turns a settled value back into an element.  Over Q and Q(w)
-all three return their argument; over GF(p) a value is an int, settled to
-its residue in [0, p), so a sum is reduced mod p once, when it is read, and
-`element` returns one object per residue.
+`element(v)` turns a settled value back into an element; `lift` of a value
+is that value.  Over Q(w) all three return their argument.  Over Q a value
+is an int where the rational is integral, since int arithmetic takes no
+gcd, and the `Fraction` otherwise; `settle` turns an integral `Fraction`
+back into an int.  Over GF(p) a value is an int, settled to its residue in
+[0, p), so a sum is reduced mod p once, when it is read, and `element`
+returns one object per residue.
 
 Text syntax for scalars (presentation files and the command line): an
 integer, `num/den`, or `a+b*w` / `a-b*w` where `w` denotes the cube root.
@@ -29,7 +32,6 @@ polynomials alike.  Rendering is the canonical inverse of parsing.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,15 +260,33 @@ def _modp_class(p: int) -> type:
     return cls
 
 
-# primality is checked by trial division, at most 10^7 divisions below this
+# GF(p) takes primes below this; `_is_prime` is exact far beyond it
 _PRIME_LIMIT = 10**14
+
+# Miller-Rabin with the first 13 primes as bases is exact below 3.3 * 10^24
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -292,7 +312,8 @@ class Field:
         raise NotImplementedError
 
     def lift(self, x):
-        """The value an exact engine computes with in place of the element x."""
+        """The value an exact engine computes with in place of the element x;
+        a value lifts to itself."""
         return x
 
     def settle(self, v):
@@ -371,6 +392,16 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
+    # a value is an int where the rational is integral, since int arithmetic
+    # takes no gcd, and a `Fraction` otherwise; settling is the same rule
+    def lift(self, x):
+        return x.numerator if x.denominator == 1 else x
+
+    settle = lift
+
+    def element(self, v):
+        return Fraction(v)
+
     def characteristic(self):
         return 0
 
@@ -421,7 +452,7 @@ class PrimeField(Field):
         if self.p == 3:
             raise CharThreeError("characteristic 3 is unsupported")
         if self.p >= _PRIME_LIMIT:
-            raise ValueError(f"GF(p) needs p < 10^14 for its trial-division primality test, got {self.p}")
+            raise ValueError(f"GF(p) needs p < 10^14, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         # `element` builds one object per residue for this field object, so

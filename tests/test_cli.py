@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncquad import CharThreeError, HomogeneityError, ParseError, UnknownGeneratorError
-from ncquad import cli
+from ncquad import cli, quadratic
 from ncquad.cli import parse_presentation, render_presentation, run_command
 from ncquad.groebner import complete
 from ncquad.ncpoly import parse_poly
@@ -112,7 +112,7 @@ REJECTED_FILES = [
     ("field GF(4)\ngens x y\nrel x*y\n", ParseError, 1, "4 is not prime"),
     ("gens x y\nfield GF(1)\n", ParseError, 2, "1 is not prime"),
     ("field GF(100000000000031)\ngens x y\n", ParseError, 1,
-     "GF(p) needs p < 10^14 for its trial-division primality test, got 100000000000031"),
+     "GF(p) needs p < 10^14, got 100000000000031"),
 ]
 
 
@@ -181,6 +181,20 @@ def test_koszul_command(capsys):
     code, out, err = run(capsys, "koszul", str(CORPUS / "w.alg"), "--deg", "1")
     assert code == 0
     assert json.loads(out)["defect"] is None
+
+
+def test_koszul_command_completes_each_algebra_once(capsys, monkeypatch):
+    # the defect completes the dual to --deg before the hypotheses ask for
+    # its degree-4 basis, which then reuses it
+    degrees = []
+
+    def counted(pres, degree):
+        degrees.append(degree)
+        return complete(pres, degree)
+
+    monkeypatch.setattr(quadratic, "complete", counted)
+    code, out, err = run(capsys, "koszul", str(CORPUS / "w.alg"), "--deg", "6")
+    assert code == 0 and degrees == [6, 6]
 
 
 def test_oracle_command(capsys):

@@ -8,6 +8,8 @@ asking for the characteristic there would be a second home for that rule.
 import ast
 from pathlib import Path
 
+from ncquad.scalars import GF, QQ, QQ_THETA
+
 ROOT = Path(__file__).resolve().parent.parent
 ENGINES = ("groebner.py", "linalg.py")
 
@@ -24,3 +26,20 @@ def test_engines_never_ask_for_the_characteristic():
             ):
                 calls.append(f"{name}:{node.lineno}")
     assert calls == []
+
+
+def test_lift_is_idempotent():
+    # `_graded_dims` hands lifted values to `SparseEchelon.add`, which lifts
+    # them again, so a value must lift to itself
+    texts = {
+        QQ: ("0", "1", "-5", "3/4", "-7/2"),
+        QQ_THETA: ("0", "2", "w", "1/2-3*w", "-4/3"),
+        GF(31): ("0", "1", "-1", "30", "17"),
+    }
+    for field, cases in texts.items():
+        for text in cases:
+            x = field.parse(text)
+            v = field.lift(x)
+            assert field.lift(v) == v and type(field.lift(v)) is type(v), (field, text)
+            y = field.element(field.settle(v))
+            assert y == x and type(y) is type(x), (field, text)

@@ -297,7 +297,7 @@ def test_oracle_independent_of_completion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the completion engine")
 
-    for name in ("_normal_form_terms", "complete", "normal_words_by_degree", "normal_words"):
+    for name in ("_normal_form_terms", "_normal_form", "complete", "normal_words_by_degree", "normal_words"):
         monkeypatch.setattr(groebner, name, refuse)
     monkeypatch.setattr(LeadIndex, "reduce", refuse)
     assert [graded_dim_oracle(pres(W_RELATIONS), d) for d in range(7)] == expected == [1, 3, 6, 10, 17, 30, 52]
@@ -431,18 +431,35 @@ def reference_normal_form_terms(terms, index, starts):
     return out
 
 
-def leftmost_normal_form_terms(terms, index, field):
-    """The reference reducer at the leftmost redex.  The kernel in
-    `groebner` rewrites at the rightmost redex instead; below the certified
-    degree both must give the same normal forms and bases.  It takes the
-    kernel's arguments but never reads `field`."""
-    return reference_normal_form_terms(terms, index, range)
+def reference_entry(starts, calls):
+    """The reference reducer in place of the kernel's packed entry
+    `_normal_form`, which relations, S-polynomials and tail reductions all
+    reach: it decodes the work to its nonzero elements and appends each
+    call to `calls`."""
+
+    def entry(work, n, index, field):
+        calls.append(n)
+        settle = field.settle
+        terms = index.unpack({-key: r for key, v in work.items() if (r := settle(v))}, field)
+        return reference_normal_form_terms(terms, index, starts)
+
+    return entry
 
 
-def rightmost_normal_form_terms(terms, index, field):
-    """The reference reducer at the kernel's redex, so it takes the
-    kernel's steps."""
-    return reference_normal_form_terms(terms, index, lambda n: range(n - 1, -1, -1))
+def leftmost(calls):
+    """The reference at the leftmost redex.  The kernel rewrites at the
+    rightmost redex instead; below the certified degree both must give the
+    same normal forms and bases."""
+    return reference_entry(range, calls)
+
+
+def rightmost(calls):
+    """The reference at the kernel's redex, so it takes the kernel's steps."""
+    return reference_entry(lambda n: range(n - 1, -1, -1), calls)
+
+
+def obstructions(bases):
+    return sum(s.obstructions for g in bases for s in g.stats)
 
 
 def staircase_pairs(seed):
@@ -479,12 +496,14 @@ def test_rightmost_redex_keeps_the_bases(monkeypatch):
     rels = tuple(parse_poly(t, QQ, NAMES) for t in texts)
     mixed = Presentation(QQ, 3, rels, order=MonomialOrder((1, 2, 0)))
     cases.append((mixed, 9))
-    rightmost = [complete(p, D) for p, D in cases]
-    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
-    leftmost = [complete(p, D) for p, D in cases]
-    for (p, D), new, old in zip(cases, rightmost, leftmost):
+    kernel = [complete(p, D) for p, D in cases]
+    calls = []
+    monkeypatch.setattr(groebner, "_normal_form", leftmost(calls))
+    reference = [complete(p, D) for p, D in cases]
+    assert len(calls) >= obstructions(reference) > 0
+    for (p, D), new, old in zip(cases, kernel, reference):
         assert list(new.elements) == list(old.elements), p
-    assert len(rightmost[-1].elements) > len(mixed.relations)
+    assert len(kernel[-1].elements) > len(mixed.relations)
 
 
 def random_sparse_presentation(rng, field):
@@ -564,8 +583,10 @@ def test_completion_stats(monkeypatch):
     ]
     assert len(g.elements) == sum(s.new_elements for s in g.stats)
     steps = sum(s.steps for s in g.stats)
-    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    calls = []
+    monkeypatch.setattr(groebner, "_normal_form", leftmost(calls))
     old = complete(p, 8)
+    assert len(calls) >= obstructions([old]) > 0
     # the redex choice moves only the step counts
     assert [s._replace(steps=0) for s in old.stats] == [s._replace(steps=0) for s in g.stats]
     assert steps < sum(s.steps for s in old.stats) / 2
@@ -642,11 +663,14 @@ def test_lazy_residues_match_reference(monkeypatch):
 
     packed = reduce_inputs()
     assert all(steps > 0 for _, steps in packed)
-    monkeypatch.setattr(groebner, "_normal_form_terms", rightmost_normal_form_terms)
+    calls = []
+    monkeypatch.setattr(groebner, "_normal_form", rightmost(calls))
     assert reduce_inputs() == packed
-    monkeypatch.setattr(groebner, "_normal_form_terms", leftmost_normal_form_terms)
+    monkeypatch.setattr(groebner, "_normal_form", leftmost(calls))
     assert [h for h, _ in reduce_inputs()] == [h for h, _ in packed]
+    del calls[:]
     reference = [complete(p, D) for p, D in cases]
+    assert len(calls) >= obstructions(reference) > 0
     for (p, D), new, old in zip(cases, lazy, reference):
         assert list(new.elements) == list(old.elements), p
         modulus, element_type = p.field.characteristic(), type(p.field.one)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,15 +220,44 @@ def test_prime_field_size_is_bounded(monkeypatch):
     assert GF(2147483647).p == 2**31 - 1
     assert GF(1000000000039).theta() ** 3 == 1
 
-    def no_division(n):
-        raise AssertionError("trial division started")
+    def no_test(n):
+        raise AssertionError("primality test started")
 
-    # 2^89 - 1 is prime, but trial division would take 2^44 steps: it is
-    # refused before any division, with the limit in the message
-    monkeypatch.setattr(scalars, "_is_prime", no_division)
+    # 2^89 - 1 is prime, but above the limit: it is refused before any
+    # primality test, with the limit in the message
+    monkeypatch.setattr(scalars, "_is_prime", no_test)
     for p in (2**89 - 1, 10**14):
         with pytest.raises(ValueError, match=r"10\^14"):
             GF(p)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(10**5) if scalars._is_prime(n)] == [n for n in range(10**5) if trial_division_is_prime(n)]
+    # strong pseudoprimes to the first 4, 5, 6 and 8 prime bases
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not scalars._is_prime(n), n
+    assert scalars._is_prime(2**61 - 1) and not scalars._is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_largest_prime_field_builds_at_once():
+    # 99999999999973 is the largest prime below the limit; trial division
+    # took 0.83 s to accept it
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert GF(99999999999973).p == 99999999999973
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+
+
+def test_rational_values_are_ints_where_integral():
+    # int arithmetic takes no gcd, so an engine computes with the int of an
+    # integral rational and settles an integral sum back to one
+    assert type(QQ.lift(QQ.parse("-6"))) is int and QQ.lift(QQ.parse("-6")) == -6
+    assert type(QQ.lift(QQ.parse("3/4"))) is Fraction
+    assert type(QQ.settle(Fraction(1, 2) + Fraction(3, 2))) is int
+    assert QQ.settle(Fraction(1, 3) * 2) == Fraction(2, 3)
+    assert type(QQ.element(5)) is Fraction
 
 
 def test_division_by_zero():
