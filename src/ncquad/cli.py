@@ -194,8 +194,7 @@ def _dual(pres, degree):
 
 def _koszul(pres, degree):
     alg = QuadraticAlgebra(pres)
-    # the defect completes the shared dual to `degree` first, so that the
-    # hypotheses' degree-4 basis reuses it when degree >= 4
+    # the calls run in the order of the keys, which is the JSON output's order
     return {
         "defect": koszul_defect(alg, degree),
         "dual_hypotheses": dataclasses.asdict(dual_hypotheses(alg)),

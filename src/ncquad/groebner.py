@@ -98,19 +98,27 @@ class LeadIndex:
     one object per residue.
     """
 
-    def __init__(self, order, elements=()):
+    # callers keep bases, and with them their indexes, so neither has a dict
+    __slots__ = (
+        "order", "by_lead", "lengths", "steps", "codes", "memo", "tails",
+        "_base", "_digit", "_letter", "_powers", "_suffixes", "_words",
+    )
+
+    def __init__(self, order, elements=(), leads=None):
         self.order = order
         self.by_lead = {}
         self.lengths = []
         self.steps = 0
         self.codes = None
         self.memo = None
-        for g in elements:
-            self.add(g)
+        for g, lead in zip(elements, leads or itertools.repeat(None)):
+            self.add(g, lead)
 
-    def add(self, g) -> tuple:
-        """Index g under its leading word, replacing any element with that lead."""
-        lead = g.leading_word(self.order)
+    def add(self, g, lead=None) -> tuple:
+        """Index g under its leading word, replacing any element with that
+        lead.  A caller that knows the lead passes it, and g is not scanned."""
+        if lead is None:
+            lead = g.leading_word(self.order)
         self.by_lead[lead] = g
         if len(lead) not in self.lengths:
             self.lengths.append(len(lead))
@@ -172,12 +180,13 @@ class LeadIndex:
 
     def tail(self, code, lift):
         """The packed tail of the element whose lead has this code."""
-        g = self.codes[code]
-        lead = g.leading_word(self.order)
         powers, encode = self._powers, self.encode
-        terms = [(t, c) for t, c in g.terms.items() if t != lead]
-        words = tuple([(encode(t), powers[len(t)]) for t, _ in terms])
-        self.tails[code] = tail = (words, tuple([lift(-c) for _, c in terms]))
+        words, values = [], []
+        for t, c in self.codes[code].terms.items():
+            if (u := encode(t)) != code:
+                words.append((u, powers[len(t)]))
+                values.append(lift(-c))
+        self.tails[code] = tail = (tuple(words), tuple(values))
         return tail
 
     def s_polynomial(self, code, d, a, b, lift):
@@ -218,11 +227,12 @@ class LeadIndex:
     def reduce(self, f: NcPoly) -> NcPoly:
         return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
 
-    def monic(self, f: NcPoly) -> NcPoly:
-        """f divided by its leading coefficient, computed on the field's values."""
+    def monic(self, f: NcPoly, lead) -> NcPoly:
+        """f divided by the coefficient of its lead word, computed on the
+        field's values."""
         field = f.field
         lift, settle, element = field.lift, field.settle, field.element
-        inv = lift(f.leading_coeff(self.order) ** -1)
+        inv = lift(f.terms[lead] ** -1)
         return NcPoly(field, f.ngens, {w: element(settle(lift(c) * inv)) for w, c in f.terms.items()})
 
 
@@ -230,15 +240,55 @@ class GroebnerBasis:
     """Truncated reduced basis: monic elements, certified up to `degree_bound`.
 
     `stats` holds one `DegreeStats` per degree that `complete` processed
-    (empty for a basis built directly).
+    (empty for a basis built directly).  A basis from `complete` also keeps
+    `insertion`: the k-th element was the insertion[k]-th that the
+    completion added, which is all `extend` needs besides the elements and
+    their leads; a basis built directly has None there.  `leads`, when
+    given, are the elements' lead words, so the index scans none.
     """
 
-    def __init__(self, presentation, elements, degree_bound, stats=()):
+    __slots__ = ("presentation", "elements", "degree_bound", "stats", "insertion", "index", "_automaton")
+
+    def __init__(self, presentation, elements, degree_bound, stats=(), leads=None, insertion=None):
         self.presentation = presentation
         self.elements = tuple(elements)
         self.degree_bound = degree_bound
         self.stats = tuple(stats)
-        self.index = LeadIndex(presentation.order, self.elements)
+        self.insertion = insertion
+        self.index = LeadIndex(presentation.order, self.elements, leads)
+        self._automaton = None
+
+    def extend(self, degree_bound: int) -> GroebnerBasis:
+        """This basis certified to `degree_bound`: the degrees above its
+        bound go through `complete`'s loop, which resumes from the elements
+        in the order the completion added them.  The overlaps above the
+        bound are recomputed from the leads, so the result equals
+        `complete(presentation, degree_bound)` element for element, with
+        the same `DegreeStats` at every degree.  A bound at or below this
+        one returns this basis."""
+        if self.insertion is None:
+            raise ValueError("a basis built directly, not by complete, cannot be extended")
+        if degree_bound <= self.degree_bound:
+            return self
+        # the index holds the elements in order, under distinct leads
+        added = [None] * len(self.elements)
+        for pair, m in zip(self.index.by_lead.items(), self.insertion):
+            added[m] = pair
+        return _complete_degrees(self.presentation, added, self.degree_bound, degree_bound, self.stats)
+
+    def automaton(self, degree: int):
+        """The lead-word automaton (`_lead_automaton`) for normal words up to
+        `degree`.  It depends only on the leads, so each basis builds it
+        once, on first use, and keeps it."""
+        if degree < 0:
+            raise ValueError(f"degree {degree} is negative")
+        if degree > self.degree_bound:
+            raise IncompleteBasisError(
+                f"normal words requested to degree {degree}, basis certified to {self.degree_bound}"
+            )
+        if self._automaton is None:
+            self._automaton = _lead_automaton(self.index.by_lead, self.order.gens_descending())
+        return self._automaton
 
     @property
     def order(self):
@@ -393,19 +443,11 @@ def _normal_form(work, n, index, field):
     return index.unpack(out, field)
 
 
-def _has_interior_lead(word, index):
-    """Some lead of the index occurs in `word` after its first letter and
-    before its last."""
-    return not index.is_normal(word[1:-1])
-
-
-def _proper_overlaps(w1, w2):
-    """Overlap lengths k: a proper suffix of w1 of length k is a prefix of w2."""
-    out = []
-    for k in range(1, min(len(w1), len(w2))):
-        if w1[len(w1) - k :] == w2[:k]:
-            out.append(k)
-    return out
+def _has_interior_lead(code, d, index):
+    """Some lead of the index occurs in the packed word of d letters after
+    its first letter and before its last."""
+    codes, _, suffixes = index.tables(d)
+    return _find_redex(code % index._powers[d - 1] // index._base, codes, suffixes) is not None
 
 
 def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
@@ -427,29 +469,47 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     diamond lemma), and the reduced basis is the same as when every overlap
     is reduced.
 
-    Every reduction takes packed work (`_normal_form`).  For the overlap of
-    leads L.w_j = w_i.R, the S-polynomial tail_i.R - L.tail_j is read off
-    the two elements' packed tails in the index, with no polynomial
-    arithmetic: a tail word t of i becomes t.B^|R| + code(R), with its
-    stored value lift(-c) negated, and a tail word t of j becomes
-    code(L).B^|t| + t, with its stored value.  The obstructions of a degree
-    go in packed-code order, which is deg-lex order.
+    Every reduction takes packed work (`_normal_form`), and the leads are
+    packed codes too.  A proper suffix of k letters of lead i (a letters,
+    code c_i) is a prefix of lead j (b letters) when c_i mod B^k equals
+    c_j div B^(b-k), and the overlap word is c_i.B^(b-k) + c_j mod B^(b-k).
+    For the overlap of leads L.w_j = w_i.R, the S-polynomial
+    tail_i.R - L.tail_j is read off the two elements' packed tails in the
+    index, with no polynomial arithmetic: a tail word t of i becomes
+    t.B^|R| + code(R), with its stored value lift(-c) negated, and a tail
+    word t of j becomes code(L).B^|t| + t, with its stored value.  The
+    obstructions of a degree go in (code, i, j) order, i and j being the
+    order in which the leads joined: packed-code order is deg-lex order.
+    The kernel returns the words of a normal form in descending order, so
+    the lead of a new element is its first word, the largest code, and is
+    never searched for.
 
     The reductions of one degree share one memo of rewrites (`LeadIndex`),
-    which the next degree replaces; the returned basis holds none.
+    which the next degree replaces; the returned basis holds none, and
+    `GroebnerBasis.extend` continues it through the same loop.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound {degree_bound} is negative")
+    return _complete_degrees(presentation, (), 0, degree_bound, ())
+
+
+def _complete_degrees(presentation, added, low, high, stats) -> GroebnerBasis:
+    """Degrees low+1 through high of `complete`, after a completion through
+    `low` that added the (lead, element) pairs `added`, in that order, and
+    recorded `stats`."""
     order = presentation.order
     field = presentation.field
     ngens = presentation.ngens
-    if degree_bound < 0:
-        raise ValueError(f"degree bound {degree_bound} is negative")
-
-    index = LeadIndex(order)
-    basis = []
-    leads = []
+    basis = [g for _, g in added]
+    leads = [lead for lead, _ in added]
+    index = LeadIndex(order, basis, leads)
+    index.tables(high)
+    powers = index._powers
+    codes = [index.encode(lead) for lead in leads]
     relations: dict[int, list] = {}
     for r in presentation.relations:
-        relations.setdefault(r.degree(), []).append(r)
+        if low < r.degree():
+            relations.setdefault(r.degree(), []).append(r)
 
     # obstructions keyed by overlap degree; an overlap is longer than both of
     # its leads, so processing degree d only enqueues degrees above d and
@@ -457,25 +517,31 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     queue: dict[int, list] = {}
 
     def enqueue(i, j):
-        wi, wj = leads[i], leads[j]
-        for k in _proper_overlaps(wi, wj):
-            d = len(wi) + len(wj) - k
-            if d <= degree_bound:
-                queue.setdefault(d, []).append((wi + wj[k:], i, j))
+        a, b = len(leads[i]), len(leads[j])
+        ci, cj = codes[i], codes[j]
+        # overlaps of k letters make words of a + b - k letters, in (low, high]
+        for k in range(max(1, a + b - high), min(a, b, a + b - low)):
+            shift = powers[b - k]
+            if ci % powers[k] == cj // shift:
+                queue.setdefault(a + b - k, []).append((ci * shift + cj % shift, i, j))
+
+    # a resumed completion recomputes the overlaps above `low` of the leads
+    # it starts from; their insertion order fixes the (code, i, j) order
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            enqueue(i, j)
 
     lift = field.lift
-    stats = []
-    for d in range(1, degree_bound + 1):
+    stats = list(stats)
+    for d in range(low + 1, high + 1):
         # the reductions of degree d meet only words of length d, so the
         # rewrites of lower degrees are of no further use
         index.memo = {}
-        # the encoding and the powers of B up to d, for the S-polynomials
-        index.tables(d)
         # the index holds every lead below d, and no degree-d lead fits
         # strictly inside a word of length d, so one check per degree
-        # suffices; packed codes sort in deg-lex order
+        # suffices
         queued = queue.pop(d, [])
-        items = sorted((index.encode(w), i, j) for w, i, j in queued if not _has_interior_lead(w, index))
+        items = sorted(item for item in queued if not _has_interior_lead(item[0], d, index))
         spolys = (index.s_polynomial(code, d, len(leads[i]), len(leads[j]), lift) for code, i, j in items)
         reduced = itertools.chain(
             (_normal_form_terms(r.terms, index, field) for r in relations.get(d, ())),
@@ -488,9 +554,12 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
             if not h:
                 zero += 1
                 continue
-            h = index.monic(NcPoly(field, ngens, h))
-            basis.append(h)
-            leads.append(index.add(h))
+            lead = next(iter(h))  # the kernel's words come in descending order
+            g = index.monic(NcPoly(field, ngens, h), lead)
+            index.add(g, lead)
+            basis.append(g)
+            leads.append(lead)
+            codes.append(index.encode(lead))
             m = len(basis) - 1
             new_idx.append(m)
             for e in range(len(basis)):
@@ -506,58 +575,59 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
             red = _normal_form_terms(tail, index, field)
             if red != tail:
                 basis[m] = g = NcPoly(field, ngens, {lead: terms[lead], **red})
-                index.add(g)
+                index.add(g, lead)
         stats.append(
             DegreeStats(d, len(items), zero, index.steps - steps_before, len(new_idx), len(queued) - len(items))
         )
 
-    elements = sorted(
-        basis, key=lambda g: (len(g.leading_word(order)), tuple(order.precedence[c] for c in g.leading_word(order)))
+    # by lead length, then descending deg-lex, which is descending code
+    insertion = sorted(range(len(basis)), key=lambda m: (len(leads[m]), -codes[m]))
+    return GroebnerBasis(
+        presentation,
+        [basis[m] for m in insertion],
+        high,
+        stats,
+        leads=[leads[m] for m in insertion],
+        insertion=tuple(insertion),
     )
-    return GroebnerBasis(presentation, elements, degree_bound, stats)
 
 
-def _lead_automaton(basis: GroebnerBasis, degree: int):
-    """Aho-Corasick automaton of the lead words, for words up to `degree`.
+def _lead_automaton(leads, gens):
+    """Aho-Corasick automaton of the lead words, with `gens` the generators
+    in descending order.
 
     The states are the proper prefixes of the lead words, numbered with the
     empty word as state 0.  After a normal word w the automaton sits at the
     longest suffix of w that is a state; appending a generator g is dead when
     some suffix of state+(g,) is a lead word, and otherwise moves to the
-    longest suffix of state+(g,) that is a state.  Returns, per state, the
-    live moves (g, next state) with g in descending generator order.
+    longest suffix of state+(g,) that is a state.  Returns one flat tuple,
+    since a basis keeps it: entry s * len(gens) + i is the state that
+    appending gens[i] to state s moves to, or -1 for a dead move.
     """
-    if degree < 0:
-        raise ValueError(f"degree {degree} is negative")
-    if degree > basis.degree_bound:
-        raise IncompleteBasisError(
-            f"normal words requested to degree {degree}, basis certified to {basis.degree_bound}"
-        )
-    leads = basis.index.by_lead
     states = {lead[:k] for lead in leads for k in range(len(lead))} | {()}
     number = {s: i for i, s in enumerate(sorted(states, key=len))}
-    gens = basis.order.gens_descending()
     table = []
     for s in number:
-        moves = []
         for g in gens:
             u = s + (g,)
             # a lead factor of w+(g,) ends at g and, minus g, is a prefix of a
             # lead, so it is a suffix of state+(g,)
             if any(u[k:] in leads for k in range(len(u) + 1)):
-                continue
-            moves.append((g, next(number[u[k:]] for k in range(len(u) + 1) if u[k:] in number)))
-        table.append(moves)
-    return table
+                table.append(-1)
+            else:
+                table.append(next(number[u[k:]] for k in range(len(u) + 1) if u[k:] in number))
+    return tuple(table)
 
 
 def normal_words_by_degree(basis: GroebnerBasis, degree: int):
     """Normal words for every degree 0..degree, each level in descending order."""
-    table = _lead_automaton(basis, degree)
+    table = basis.automaton(degree)
+    gens = basis.order.gens_descending()
+    n = len(gens)
     levels = [[()]]
     level = [((), 0)]
     for _ in range(degree):
-        level = [(w + (g,), t) for w, s in level for g, t in table[s]]
+        level = [(w + (g,), t) for w, s in level for g, t in zip(gens, table[s * n : s * n + n]) if t >= 0]
         levels.append([w for w, _ in level])
     return levels
 
@@ -570,15 +640,19 @@ def normal_words(basis: GroebnerBasis, degree: int):
 def hilbert_coeffs(basis: GroebnerBasis, degree: int):
     """dim A_d for 0 <= d <= degree: the number of normal words of degree d,
     counted through the lead-word automaton without listing any word, in
-    O(degree * states * ngens) steps and O(states) memory."""
-    table = _lead_automaton(basis, degree)
-    counts = [1] + [0] * (len(table) - 1)  # normal words ending in each state
+    O(degree * states * ngens) steps and O(states) memory besides the
+    automaton, which the basis keeps."""
+    table = basis.automaton(degree)
+    n = basis.presentation.ngens
+    states = len(table) // n if n else 1  # with no generator, only the empty word
+    counts = [1] + [0] * (states - 1)  # normal words ending in each state
     coeffs = [1]
     for _ in range(degree):
-        nxt = [0] * len(table)
+        nxt = [0] * states
         for s, c in enumerate(counts):
-            for _, t in table[s]:
-                nxt[t] += c
+            for t in table[s * n : s * n + n]:
+                if t >= 0:
+                    nxt[t] += c
         counts = nxt
         coeffs.append(sum(counts))
     return coeffs

@@ -64,10 +64,13 @@ class QuadraticAlgebra:
         return [[r.coeff(w) for w in self._words] for r in self.presentation.relations]
 
     def groebner(self, degree_bound: int) -> GroebnerBasis:
-        """A basis certified at least to `degree_bound`; only the one with the
-        highest bound asked for so far is kept."""
-        if self._basis is None or self._basis.degree_bound < degree_bound:
+        """A basis certified at least to `degree_bound`.  The algebra keeps
+        the one with the highest bound asked for so far; a higher bound
+        extends it (`GroebnerBasis.extend`) instead of completing again."""
+        if self._basis is None:
             self._basis = complete(self.presentation, degree_bound)
+        elif self._basis.degree_bound < degree_bound:
+            self._basis = self._basis.extend(degree_bound)
         return self._basis
 
     def hilbert(self, degree: int):

@@ -260,12 +260,12 @@ def _modp_class(p: int) -> type:
     return cls
 
 
-# GF(p) takes primes below this; `_is_prime` is exact far beyond it
-_PRIME_LIMIT = 10**14
-
-# Miller-Rabin with the first 13 primes as bases is exact below 3.3 * 10^24
-# (Sorenson and Webster, Math. Comp. 86, 2017)
+# Miller-Rabin with the first 13 primes as bases is exact below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86,
+# 2017), so GF(p) takes the primes below it.  psi_13 itself is the product
+# 1287836182261 * 2575672364521 and passes all 13 bases.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -452,7 +452,7 @@ class PrimeField(Field):
         if self.p == 3:
             raise CharThreeError("characteristic 3 is unsupported")
         if self.p >= _PRIME_LIMIT:
-            raise ValueError(f"GF(p) needs p < 10^14, got {self.p}")
+            raise ValueError(f"GF(p) needs p < {_PRIME_LIMIT}, where the primality test is exact, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         # `element` builds one object per residue for this field object, so
@@ -512,7 +512,9 @@ GF = PrimeField
 
 def parse_field(text: str) -> Field:
     """Parse a field name: Q, Q(w), or GF(p).  GF(n) with n not a prime
-    below 10^14 is a `ParseError`; GF(3) stays a `CharThreeError`."""
+    below 3317044064679887385961981 (about 3.3 * 10^24, the bound below
+    which the primality test is exact) is a `ParseError`; GF(3) stays a
+    `CharThreeError`."""
     s = text.strip()
     if s == "Q":
         return QQ

@@ -416,6 +416,12 @@ def coefficient_recursion(field, alpha, gamma, kmax: int):
     expected rank-2 shape, SIGMA when its first two columns are proportional
     (the finite-basis branch, entered at k+1), RANK_ANOMALY when the system
     has full rank, which cannot arise from an actual parameter chain.
+
+    The system is solved in closed form.  Two rows whose minor on the first
+    two columns is nonzero span a plane, and their cross product spans its
+    orthogonal line; that minor is the product's last coordinate, so the
+    next (a, b) is the product divided by it.  The system has rank 2 when
+    the third row is orthogonal to the product, and full rank otherwise.
     """
     if kmax < 0:
         raise ValueError(f"kmax {kmax} is negative")
@@ -424,32 +430,25 @@ def coefficient_recursion(field, alpha, gamma, kmax: int):
     one = field.one
     a, b = field.zero, field.zero
     states = []
-    # imported here so that a wrapper installed at linalg.nullspace sees the call
-    from .linalg import nullspace
-
     for k in range(kmax):
         m = [
             [-one, one, b + alpha],
             [alpha, b - a, -gamma],
             [a - one, one, alpha],
         ]
-        col_minors = (
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-            m[0][0] * m[2][1] - m[0][1] * m[2][0],
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-        )
-        if not any(col_minors):
+        # two rows u, v with a nonzero minor on columns 0 and 1, and the third w
+        for u, v, w in ((m[0], m[1], m[2]), (m[0], m[2], m[1]), (m[1], m[2], m[0])):
+            if u[0] * v[1] - u[1] * v[0]:
+                break
+        else:
             states.append(RecursionState(k, a, b, RecursionOutcome.SIGMA))
             return states
-        kernel = nullspace(m, 3, field)
-        if not kernel:
+        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if w[0] * cross[0] + w[1] * cross[1] + w[2] * cross[2]:
             states.append(RecursionState(k, a, b, RecursionOutcome.RANK_ANOMALY))
             return states
-        vec = kernel[0]
-        if not vec[2]:
-            raise AssertionError("kernel vector has vanishing last coordinate")
         states.append(RecursionState(k, a, b, RecursionOutcome.CONTINUE))
-        a, b = vec[0] / vec[2], vec[1] / vec[2]
+        a, b = cross[0] / cross[2], cross[1] / cross[2]
     states.append(RecursionState(kmax, a, b, RecursionOutcome.CONTINUE))
     return states
 

@@ -108,11 +108,13 @@ REJECTED_FILES = [
     ("gens x y 2\nfield Q\n", ParseError, 1, "generators must be distinct identifiers"),
     ("field Q(w)\ngens w x\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
     ("gens w x\nfield Q(w)\n", ParseError, 2, "generator 'w' is a unit of Q(w)"),
-    # GF(p) needs a prime p below 10^14 (GF(3) is refused as CharThreeError)
+    # GF(p) needs a prime p below 3317044064679887385961981, where the primality test
+    # is exact (GF(3) is refused as CharThreeError); that bound itself
+    # passes the test, and is refused by the limit
     ("field GF(4)\ngens x y\nrel x*y\n", ParseError, 1, "4 is not prime"),
     ("gens x y\nfield GF(1)\n", ParseError, 2, "1 is not prime"),
-    ("field GF(100000000000031)\ngens x y\n", ParseError, 1,
-     "GF(p) needs p < 10^14, got 100000000000031"),
+    ("field GF(3317044064679887385961981)\ngens x y\n", ParseError, 1,
+     "GF(p) needs p < 3317044064679887385961981, where the primality test is exact, got 3317044064679887385961981"),
 ]
 
 
@@ -184,8 +186,8 @@ def test_koszul_command(capsys):
 
 
 def test_koszul_command_completes_each_algebra_once(capsys, monkeypatch):
-    # the defect completes the dual to --deg before the hypotheses ask for
-    # its degree-4 basis, which then reuses it
+    # each algebra is completed once: a basis asked for at a higher bound
+    # is extended, and one at a lower bound is served by the kept basis
     degrees = []
 
     def counted(pres, degree):
@@ -195,6 +197,9 @@ def test_koszul_command_completes_each_algebra_once(capsys, monkeypatch):
     monkeypatch.setattr(quadratic, "complete", counted)
     code, out, err = run(capsys, "koszul", str(CORPUS / "w.alg"), "--deg", "6")
     assert code == 0 and degrees == [6, 6]
+    del degrees[:]
+    code, out, err = run(capsys, "koszul", str(CORPUS / "w.alg"), "--deg", "3")
+    assert code == 0 and degrees == [3, 3]
 
 
 def test_oracle_command(capsys):
@@ -281,7 +286,7 @@ def test_oversized_prime_field_exit_code(capsys):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "ParseError"
-    assert "10^14" in error["detail"]
+    assert "needs p < 3317044064679887385961981" in error["detail"]
     code, out, err = run(capsys, "sklyanin", "classify", "1", "2", "5", "--field", "GF(4)")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {"kind": "ParseError", "detail": "4 is not prime"}

@@ -537,7 +537,7 @@ def test_overlap_skip_keeps_the_bases(monkeypatch):
     for k in range(40):
         cases.append((random_sparse_presentation(rng, (GF(7), GF(31), QQ, QQ_THETA)[k % 4]), 7))
     skipping = [complete(p, D) for p, D in cases]
-    monkeypatch.setattr(groebner, "_has_interior_lead", lambda word, index: False)
+    monkeypatch.setattr(groebner, "_has_interior_lead", lambda code, d, index: False)
     every = [complete(p, D) for p, D in cases]
     for (p, D), new, old in zip(cases, skipping, every):
         assert list(new.elements) == list(old.elements), p
@@ -601,8 +601,9 @@ def test_long_staircase_stats():
     res = substitution_chain(f31, f31.from_int(0), f31.from_int(2))
     last = coefficient_recursion(f31, res.alpha, res.gamma, 30)[-1]
     assert (last.k, last.outcome) == (26, RecursionOutcome.SIGMA)
-    g = complete(staircase_presentation(f31, res.alpha, res.gamma), 10)
-    assert [tuple(s) for s in g.stats] == [
+    p = staircase_presentation(f31, res.alpha, res.gamma)
+    g = complete(p, 10)
+    pinned = [
         (1, 0, 0, 0, 0, 0),
         (2, 0, 0, 0, 3, 0),
         (3, 3, 1, 13, 2, 0),
@@ -614,8 +615,54 @@ def test_long_staircase_stats():
         (9, 15, 13, 26056, 2, 0),
         (10, 17, 15, 64287, 2, 0),
     ]
+    assert [tuple(s) for s in g.stats] == pinned
     assert sum(s.steps for s in g.stats) == 106333
     assert len(g.elements) == 19 and hilbert_coeffs(g, 10)[-1] == 66
+    # resumed from degree 6, the completion does the same work per degree
+    resumed = complete(p, 6).extend(10)
+    assert [tuple(s) for s in resumed.stats] == pinned and resumed.elements == g.elements
+
+
+def assert_same_basis(new, fresh):
+    assert new.degree_bound == fresh.degree_bound
+    assert list(new.elements) == list(fresh.elements)
+    assert new.stats == fresh.stats and new.insertion == fresh.insertion
+    assert new.lead_words() == fresh.lead_words() == tuple(new.index.by_lead)
+
+
+def test_extend_equals_a_fresh_completion():
+    # a basis resumes from its elements, their leads and the order the
+    # completion added them; the overlaps above its bound are recomputed
+    cases = [(parse_presentation(path.read_text()), 4, 8) for path in sorted(CORPUS.glob("*.alg"))]
+    rng = random.Random(2222)
+    for field in (GF(31), QQ, QQ_THETA):
+        for _ in range(2):
+            p, q, r = (field.from_int(rng.randint(-4, 4)) for _ in range(3))
+            cases.append((sklyanin_pres(field, p, q, r), 3, 7))
+    f31 = GF(31)
+    res = substitution_chain(f31, f31.from_int(2), f31.from_int(5))
+    cases.append((staircase_presentation(f31, res.alpha, res.gamma), 6, 12))
+    for p, low, high in cases:
+        basis = complete(p, low)
+        fresh = complete(p, high)
+        assert_same_basis(basis.extend(high), fresh)
+        # in steps, and with the lower basis left as it was
+        assert_same_basis(basis.extend((low + high) // 2).extend(high), fresh)
+        assert_same_basis(basis, complete(p, low))
+        assert basis.extend(low) is basis and basis.extend(low - 1) is basis
+    # a relation above the bound enters when the extension reaches it
+    texts = ["x*x + 5*z*z", "3*y*z*z*x + 3*z*x*x*y"]
+    f7 = GF(7)
+    p = Presentation(f7, 3, tuple(parse_poly(t, f7, NAMES) for t in texts), order=MonomialOrder((2, 1, 0)))
+    for low in (0, 2, 3, 4):
+        assert_same_basis(complete(p, low).extend(6), complete(p, 6))
+
+
+def test_extend_refuses_a_basis_built_directly():
+    p = pres(W_RELATIONS)
+    g = complete(p, 4)
+    with pytest.raises(ValueError, match="cannot be extended"):
+        GroebnerBasis(p, g.elements, 4, g.stats).extend(6)
 
 
 def test_lazy_residues_match_reference(monkeypatch):

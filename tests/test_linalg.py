@@ -12,7 +12,8 @@ from ncquad.sklyanin import sklyanin_presentation, staircase_relations
 F7 = GF(7)
 F31 = GF(31)
 # the echelon carries GF(p) residues as ints with delayed reduction, so the
-# prime fields range from tiny to near the 10^14 bound
+# prime fields range from tiny to 10^13, where a product of two residues
+# passes 64 bits
 PRIME_FIELDS = [F7, F31, GF(1000003), GF(10**13 + 37)]
 FIELDS = PRIME_FIELDS + [QQ, QQ_THETA]
 WORDS2 = [(i, j) for i in range(3) for j in range(3)]

@@ -51,9 +51,9 @@ def test_sklyanin_calls_go_through_wrapped_sites(tracing):
     assert tracer.counts["linalg.rref.calls"] > 0
 
 
-def test_recursion_nullspace_goes_through_wrapped_site(tracing):
-    # coefficient_recursion imports nullspace when it runs; a module-level
-    # import would bind the unwrapped function and these counts would vanish
+def test_recursion_goes_through_wrapped_site(tracing):
+    # the recursion solves its 3x3 systems in closed form, with no call to
+    # linalg.nullspace
     from ncquad import GF, sklyanin
 
     tracer = tracing.Tracer()
@@ -67,4 +67,4 @@ def test_recursion_nullspace_goes_through_wrapped_site(tracing):
         tracer.uninstall()
     assert states[-1].outcome is sklyanin.RecursionOutcome.CONTINUE
     assert tracer.counts["sklyanin.coefficient_recursion.calls"] == 1
-    assert tracer.counts["linalg.nullspace.calls"] == 3
+    assert tracer.counts["linalg.nullspace.calls"] == 0

@@ -152,13 +152,43 @@ def test_w_dual_has_annihilator_structure():
     assert right_annihilator_dim(dual, 4) == 0
 
 
-def test_one_completion_kept():
-    # the basis with the highest bound asked for serves every lower bound
+def test_one_completion_kept(monkeypatch):
+    # the basis with the highest bound asked for serves every lower bound,
+    # and a higher bound extends it instead of completing again
+    import ncquad.quadratic as quadratic
+
+    degrees = []
+    monkeypatch.setattr(quadratic, "complete", lambda pres, d: degrees.append(d) or complete(pres, d))
     alg = algebra_w()
     g5 = alg.groebner(5)
     assert alg.groebner(3) is g5 and alg.groebner(5) is g5
     g6 = alg.groebner(6)
     assert g6.degree_bound == 6 and alg.groebner(4) is g6
+    assert degrees == [5]
+    fresh = complete(alg.presentation, 6)
+    assert g6.elements == fresh.elements and g6.stats == fresh.stats
+
+
+def test_one_automaton_per_basis(monkeypatch):
+    # the lead-word automaton depends only on the leads, so each basis
+    # builds it once.  In the CLI's order the bases are the algebra's and
+    # the dual's to degree 6; with the hypotheses first, the dual's
+    # degree-4 basis comes before its extension to 6
+    import ncquad.groebner as groebner
+
+    built = []
+    build = groebner._lead_automaton
+    monkeypatch.setattr(groebner, "_lead_automaton", lambda leads, gens: built.append(leads) or build(leads, gens))
+    for path in sorted(CORPUS.glob("*.alg")):
+        del built[:]
+        alg = QuadraticAlgebra(pres_text(path.name))
+        expected = (koszul_defect(alg, 6), dual_hypotheses(alg), [right_annihilator_dim(alg, d) for d in range(1, 6)])
+        assert len(built) == 2 and len({id(leads) for leads in built}) == 2, path.name
+        del built[:]
+        alg = QuadraticAlgebra(pres_text(path.name))
+        got = (dual_hypotheses(alg), koszul_defect(alg, 6), [right_annihilator_dim(alg, d) for d in range(1, 6)])
+        assert len(built) == 3 and len({id(leads) for leads in built}) == 3, path.name
+        assert (got[1], got[0], got[2]) == expected
 
 
 def test_one_dual_kept(monkeypatch):

@@ -223,11 +223,15 @@ def test_prime_field_size_is_bounded(monkeypatch):
     def no_test(n):
         raise AssertionError("primality test started")
 
-    # 2^89 - 1 is prime, but above the limit: it is refused before any
-    # primality test, with the limit in the message
+    # 2^89 - 1 is prime, but above the limit, and the limit psi_13 itself
+    # passes all 13 Miller-Rabin bases though it is 1287836182261 *
+    # 2575672364521: both are refused before any primality test, with the
+    # limit in the message
+    psi13 = 1287836182261 * 2575672364521
+    assert psi13 == scalars._PRIME_LIMIT == 3317044064679887385961981 and scalars._is_prime(psi13)
     monkeypatch.setattr(scalars, "_is_prime", no_test)
-    for p in (2**89 - 1, 10**14):
-        with pytest.raises(ValueError, match=r"10\^14"):
+    for p in (2**89 - 1, psi13):
+        with pytest.raises(ValueError, match="needs p < 3317044064679887385961981"):
             GF(p)
 
 
@@ -240,14 +244,17 @@ def test_miller_rabin_matches_trial_division():
 
 
 def test_largest_prime_field_builds_at_once():
-    # 99999999999973 is the largest prime below the limit; trial division
-    # took 0.83 s to accept it
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        assert GF(99999999999973).p == 99999999999973
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.01
+    # 3317044064679887385961813 is the largest prime below the limit, and
+    # 99999999999973 the largest below the old limit 10^14, which trial
+    # division took 0.83 s to accept
+    for p in (3317044064679887385961813, 99999999999973):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert GF(p).p == p
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
+    assert not any(scalars._is_prime(n) for n in range(3317044064679887385961815, scalars._PRIME_LIMIT, 2))
 
 
 def test_rational_values_are_ints_where_integral():
@@ -335,7 +342,7 @@ def test_parse_field_names():
     # a GF(n) that is no field the package takes is refused at the text
     # boundary; the constructor keeps its ValueError
     for text, detail in (("GF(4)", "4 is not prime"), ("GF(1)", "1 is not prime"),
-                         (f"GF({10**14 + 31})", "10^14")):
+                         ("GF(3317044064679887385961981)", "needs p < 3317044064679887385961981")):
         with pytest.raises(ParseError, match=detail.replace("^", r"\^")):
             parse_field(text)
     with pytest.raises(ValueError):

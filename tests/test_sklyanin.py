@@ -18,7 +18,7 @@ from ncquad import (
 )
 from ncquad import sklyanin
 from ncquad.groebner import complete, graded_dim_oracle, hilbert_coeffs, normal_words
-from ncquad.linalg import row_space_equal, rref
+from ncquad.linalg import nullspace, row_space_equal, rref
 from ncquad.ncpoly import LinearSub, apply_sub, degree_lex
 from ncquad.sklyanin import (
     _orbit_edges,
@@ -29,6 +29,7 @@ from ncquad.sklyanin import (
     _verified,
     ParamTriple,
     RecursionOutcome,
+    RecursionState,
     SklyaninKind,
     are_isomorphic,
     classify,
@@ -331,6 +332,55 @@ def test_recursion_generic_continues():
     states = coefficient_recursion(f, f.from_int(4), f.from_int(4), 8)
     assert len(states) == 9
     assert all(s.outcome is RecursionOutcome.CONTINUE for s in states)
+
+
+def nullspace_recursion(field, alpha, gamma, kmax):
+    """The recursion with each step's 3x3 system solved by `nullspace`:
+    the reference for the closed form of `coefficient_recursion`."""
+    one = field.one
+    a, b = field.zero, field.zero
+    states = []
+    for k in range(kmax):
+        m = [[-one, one, b + alpha], [alpha, b - a, -gamma], [a - one, one, alpha]]
+        if not any(m[i][0] * m[j][1] - m[i][1] * m[j][0] for i, j in ((0, 1), (0, 2), (1, 2))):
+            return states + [RecursionState(k, a, b, RecursionOutcome.SIGMA)]
+        kernel = nullspace(m, 3, field)
+        if not kernel:
+            return states + [RecursionState(k, a, b, RecursionOutcome.RANK_ANOMALY)]
+        vec = kernel[0]
+        assert vec[2]
+        states.append(RecursionState(k, a, b, RecursionOutcome.CONTINUE))
+        a, b = vec[0] / vec[2], vec[1] / vec[2]
+    return states + [RecursionState(kmax, a, b, RecursionOutcome.CONTINUE)]
+
+
+def test_recursion_matches_nullspace_reference():
+    # seeded pairs, and over GF(7) and GF(13) every pair the chain reaches
+    rng = random.Random(1212)
+    outcomes = Counter()
+    for field in (QQ, QQ_THETA, GF(7), GF(13), GF(31)):
+        pairs = []
+        for _ in range(40):
+            if field is QQ:
+                pair = tuple(QQ.parse(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}") for _ in range(2))
+            elif field is QQ_THETA:
+                pair = tuple(ThetaRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2))
+            else:
+                pair = tuple(field.from_int(rng.randrange(field.p)) for _ in range(2))
+            pairs.append(pair)
+        if field in (GF(7), GF(13)):
+            for a, b in itertools.product(range(field.p), repeat=2):
+                a, b = field.from_int(a), field.from_int(b)
+                if in_m_set(field, a, b) and (a + b) and a**3 != b**3:
+                    res = substitution_chain(field, a, b)
+                    pairs.append((res.alpha, res.gamma))
+        for alpha, gamma in pairs:
+            if not (alpha or gamma):
+                continue
+            states = coefficient_recursion(field, alpha, gamma, 12)
+            assert states == nullspace_recursion(field, alpha, gamma, 12), (field, alpha, gamma)
+            outcomes[states[-1].outcome] += 1
+    assert outcomes[RecursionOutcome.SIGMA] > 0 and outcomes[RecursionOutcome.CONTINUE] > 0, outcomes
 
 
 def test_recursion_matches_basis_coefficients():
