@@ -66,13 +66,10 @@ class LeadIndex:
 
     `steps` counts the reduction steps taken through the index.
 
-    The reduction kernel carries each word as one int.  With B = ngens + 1,
-    generator g is the digit ngens - rank(g), which lies in 1..ngens, and
-    the word g_1...g_n is the base-B number with digits g_1, ..., g_n, most
-    significant first.  So distinct words, of any lengths, have distinct
-    codes, deg-lex order is integer order, and the empty word is 0.  The
-    first reduction, `is_normal` test or degree of `complete` builds the
-    packed tables (`tables`):
+    The reduction kernel carries each word as one int, its packed code in
+    base B = ngens + 1 (`MonomialOrder.digits`): deg-lex order is integer
+    order, and the empty word is 0.  The first reduction, `is_normal` test
+    or degree of `complete` builds the packed tables (`tables`):
     `codes` sends the code of each lead to its element, and `tails` holds,
     per lead code, the element's other terms as two tuples: their
     (code, B^length) pairs and the values of their negated coefficients,
@@ -145,9 +142,8 @@ class LeadIndex:
         It and the powers of B grow on demand.
         """
         if self.codes is None:
-            prec = self.order.precedence
-            self._base = len(prec) + 1
-            self._digit = [len(prec) - rank for rank in prec]
+            self._digit = self.order.digits()
+            self._base = len(self._digit) + 1
             self._letter = [None] * self._base
             for g, d in enumerate(self._digit):
                 self._letter[d] = g
@@ -661,36 +657,46 @@ def hilbert_coeffs(basis: GroebnerBasis, degree: int):
 def _graded_dims(presentation: Presentation, degree: int) -> list:
     """[dim A_0, ..., dim A_degree] from one degree-by-degree sweep.
 
-    A_k is spanned by the products x_i*b, for x_i a generator and b a basis
-    word of A_{k-1}; these are the columns, labelled by the word (i,)+b.  The
-    rows are r*u, for r a relation of degree e and u a basis word of A_{k-e}:
-    the row of r*u is sum_w c_w x_{w0}*[w1...w_{e-1}*u], where the class in
-    brackets comes from the left-multiplication tables L_i: A_{j-1} -> A_j,
-    applied right to left; the first factor, L_{w_{e-1}} of u, is one table
-    entry.  The non-pivot columns are the basis of A_k.  The table at degree
-    k sends each column to its class in A_k, read off one back-substitution
-    of the degree-k echelon: a free column's class is its unit vector and a
-    pivot column's class is minus its reduced tail.  The sweep, the tables
-    and the echelon carry the field's values (`field.lift`, settled by
-    `field.settle`), and no field element is made.  Nothing here touches
-    the completion engine.
+    The sweep labels words by their packed codes (`MonomialOrder.digits`),
+    so deg-lex order is integer order.  A_k is spanned by the products
+    x_i*b, for x_i a generator and b a basis word of A_{k-1}; these are the
+    columns, labelled by the code of the word (i,)+b, which is
+    digit(i) * B^(k-1) + code(b).  The rows are r*u, for r a relation of
+    degree e and u a basis word of A_{k-e}: the row of r*u is
+    sum_w c_w x_{w0}*[w1...w_{e-1}*u], where the class in brackets comes
+    from the left-multiplication tables L_i: A_{j-1} -> A_j, applied right
+    to left; the first factor, L_{w_{e-1}} of u, is one table entry.  A
+    row's pivot is its largest column, the largest word, and the non-pivot
+    columns are the basis of A_k.  The table at degree k sends each column
+    to its class in A_k, read off one back-substitution of the degree-k
+    echelon: a free column's class is its unit vector and a pivot column's
+    class is minus its reduced tail.
+
+    With relations of top degree e, degree k + 1 reads only the tables of
+    degrees k - e + 2 .. k and the bases of degrees k + 1 - e .. k, so the
+    sweep drops each table and basis once no later degree reads it.  The
+    sweep, the tables and the echelon carry the field's values
+    (`field.lift`, settled by `field.settle`), and no field element is
+    made.  Nothing here touches the completion engine.
     """
     if degree < 0:
         raise ValueError(f"degree {degree} is negative")
     field = presentation.field
     lift, settle = field.lift, field.settle
     one = lift(field.one)
-    gens = presentation.order.gens_descending()
+    digit = presentation.order.digits()
+    base = len(digit) + 1
     relations = [(r.degree(), [(w, lift(c)) for w, c in r.terms.items()]) for r in presentation.relations]
-    bases = [[()]]  # basis words of A_j, in descending order
-    tables = [None]  # tables[j][i][b]: class of x_i*b in A_j, for b in bases[j-1]
+    top = max((e for e, _ in relations), default=1)
+    bases = {0: [0]}  # codes of the basis words of A_j, in descending order
+    tables = {}  # tables[j][g][b]: class of x_g*b in A_j, for b in bases[j-1]
     dims = [1]
+    shift = 1  # B^(k-1), the place of a column's first letter
     for k in range(1, degree + 1):
-        # deg-lex compares the first letter first, so this is descending
-        # order.key; a column's key is minus its position
-        columns = [(i,) + b for i in gens for b in bases[k - 1]]
-        position = {c: -j for j, c in enumerate(columns)}
-        ech = SparseEchelon(field, position.__getitem__)
+        # a larger first letter makes a larger word, so the columns come in
+        # descending order
+        columns = [d * shift + b for d in range(base - 1, 0, -1) for b in bases[k - 1]]
+        ech = SparseEchelon(field)
         for e, terms in relations:
             if e > k:
                 continue
@@ -703,7 +709,7 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
                         coords = tables[k - e + 1][w[e - 1]][u]
                         for j in range(e - 2, 0, -1):
                             coords = _apply(tables[k - j][w[j]], coords, settle)
-                    head = (w[0],)
+                    head = digit[w[0]] * shift
                     for b, v in coords.items():
                         col = head + b
                         acc = row.get(col)
@@ -711,13 +717,18 @@ def _graded_dims(presentation: Presentation, degree: int) -> list:
                 ech.add(row)
         dims.append(len(columns) - ech.rank)
         if k < degree:
-            bases.append([c for c in columns if c not in ech.rows])
+            bases[k] = [c for c in columns if c not in ech.rows]
             # a pivot column's class is minus its reduced tail, a free
             # column's is its unit vector
             classes = {c: {w: settle(-v) for w, v in tail.items()} for c, tail in ech.back_substitute().items()}
             for c in bases[k]:
                 classes[c] = {c: one}
-            tables.append([{b: classes[(i,) + b] for b in bases[k - 1]} for i in range(presentation.ngens)])
+            tables[k] = [{b: classes[d * shift + b] for b in bases[k - 1]} for d in digit]
+            # degree k + 1 reads the bases from k + 1 - top and the tables
+            # from k + 2 - top on
+            bases.pop(k - top, None)
+            tables.pop(k + 1 - top, None)
+        shift *= base
     return dims
 
 

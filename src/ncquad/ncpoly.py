@@ -45,6 +45,18 @@ class MonomialOrder:
     def gens_descending(self):
         return sorted(range(len(self.precedence)), key=lambda g: self.precedence[g])
 
+    def digits(self):
+        """Each generator's digit in the packed word codes of the exact engines.
+
+        With B = ngens + 1, generator g is the digit ngens - rank(g), which
+        lies in 1..ngens, and the word g_1...g_n is the base-B number with
+        digits g_1, ..., g_n, most significant first.  So distinct words, of
+        any lengths, have distinct codes, deg-lex order is integer order, and
+        the empty word is 0.
+        """
+        n = len(self.precedence)
+        return [n - rank for rank in self.precedence]
+
 
 def degree_lex(ngens):
     """Default order: generator 0 > generator 1 > ... (x > y > z)."""

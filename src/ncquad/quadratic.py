@@ -164,7 +164,7 @@ def _stacked_kernel_dim(basis: GroebnerBasis, vectors, products):
     if all(any(map(basis.index.is_normal, row)) for row in products):
         return 0
     field, ngens = basis.field, basis.presentation.ngens
-    ech = SparseEchelon(field, lambda col: col)
+    ech = SparseEchelon(field)
     for row in products:
         stacked = {}
         for mi, w in enumerate(row):

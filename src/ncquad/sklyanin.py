@@ -415,13 +415,24 @@ def coefficient_recursion(field, alpha, gamma, kmax: int):
     Each state reports the step to k+1: CONTINUE when the 3x3 system has the
     expected rank-2 shape, SIGMA when its first two columns are proportional
     (the finite-basis branch, entered at k+1), RANK_ANOMALY when the system
-    has full rank, which cannot arise from an actual parameter chain.
+    has full rank, which never happens (the proof is below).
 
     The system is solved in closed form.  Two rows whose minor on the first
     two columns is nonzero span a plane, and their cross product spans its
     orthogonal line; that minor is the product's last coordinate, so the
     next (a, b) is the product divided by it.  The system has rank 2 when
     the third row is orthogonal to the product, and full rank otherwise.
+
+    Full rank never arises along the recursion, so RANK_ANOMALY only
+    guards the closed form.  The determinant is
+    D(a, b) = a(alpha - gamma) - (a - 1)(b - a)(b + alpha), which is 0 at
+    a = b = 0.  If D(a, b) = 0 and the step is not SIGMA, the third row lies
+    in the plane of the other two, so the next (a', b', 1) solves all three
+    rows: row 0 minus row 2 gives b = a a', row 0 gives
+    b' = a' - b - alpha, and row 1 gives gamma = alpha a' + (b - a) b'.
+    Then b' - a' = -(a a' + alpha), b' + alpha = a'(1 - a) and
+    b - a = a(a' - 1), so D(a', b') is a'(a' - 1) times
+    -alpha - a(a'(1 - a) - alpha) + (a a' + alpha)(1 - a), which is 0.
     """
     if kmax < 0:
         raise ValueError(f"kmax {kmax} is negative")

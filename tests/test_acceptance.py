@@ -94,19 +94,21 @@ def degree_ideal_rows(presentation, degree):
     """Every u*r*v of the given degree in monomial coordinates: the
     exponential reference the degree-by-degree oracle is checked against."""
     rows = []
+    gens = range(presentation.ngens)
     for r in presentation.relations:
         e = r.degree()
         for udeg in range(degree - e + 1):
             vdeg = degree - e - udeg
-            for u in itertools.product(range(3), repeat=udeg):
-                for v in itertools.product(range(3), repeat=vdeg):
+            for u in itertools.product(gens, repeat=udeg):
+                for v in itertools.product(gens, repeat=vdeg):
                     rows.append({u + w + v: c for w, c in r.terms.items()})
     return rows
 
 
 def in_degree_ideal(presentation, poly):
     rows = degree_ideal_rows(presentation, poly.degree())
-    ech = SparseEchelon(presentation.field, ORD3.key)
+    # words of one length are labels ordered among themselves
+    ech = SparseEchelon(presentation.field)
     for row in rows:
         ech.add(dict(row))
     return not ech.add(dict(poly.terms))
@@ -345,10 +347,10 @@ def test_acceptance_08_oracle_equivalence():
 
 def test_oracle_matches_uvr_rank():
     rng = random.Random(808)
-    cases = [(name, pres_text(name)) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
+    cases = [(name, pres_text(name), 5) for name in sorted(p.name for p in CORPUS.glob("*.alg"))]
     triples = [random_triple(field, rng) for field in (F31, QQ_THETA, QQ) for _ in range(3)]
     for t in triples:
-        cases.append((t, sklyanin_presentation(t.field, t.p, t.q, t.r)))
+        cases.append((t, sklyanin_presentation(t.field, t.p, t.q, t.r), 5))
     # relations of degree 1, 3 and 4, and a non-default generator order
     mixed = [
         (["x*y*z - z*y*x + x*x*x", "y*y*x - x*y*y", "z*z - x*y"], MonomialOrder((2, 0, 1))),
@@ -356,15 +358,34 @@ def test_oracle_matches_uvr_rank():
     ]
     for texts, order in mixed:
         rels = tuple(parse_poly(t, QQ, NAMES) for t in texts)
-        cases.append((texts, Presentation(QQ, 3, rels, order=order)))
-    for label, pres in cases:
+        cases.append((texts, Presentation(QQ, 3, rels, order=order), 5))
+    # the packed codes' edges: ten generators, so that a digit is 10 and the
+    # base 11, under a shuffled order that gives digit 10 to x2; and two
+    # generators, base 3
+    names10 = tuple(f"x{i}" for i in range(10))
+    texts10 = [
+        "x0*x9 - 3*x9*x0",
+        "x1*x2 - x2*x1 + x0*x0",
+        "x9*x9 - x5*x3",
+        "x0*x1 - x1*x0 - x7*x7",
+        "x8*x0 + x0*x8",
+        "x3*x4*x5 - 2*x5*x4*x3 + x9*x9*x9",
+    ]
+    rels10 = tuple(parse_poly(t, F31, names10) for t in texts10)
+    order10 = MonomialOrder((3, 9, 0, 7, 1, 5, 8, 2, 6, 4))
+    cases.append((texts10, Presentation(F31, 10, rels10, order=order10, names=names10), 4))
+    texts2 = ["x*y - 2*y*x - y*y", "x*x*y - y*x*y"]
+    rels2 = tuple(parse_poly(t, QQ, NAMES[:2]) for t in texts2)
+    cases.append((texts2, Presentation(QQ, 2, rels2), 8))
+    for label, pres, D in cases:
         brute = []
-        for d in range(6):
-            ech = SparseEchelon(pres.field, ORD3.key)
+        for d in range(D + 1):
+            # words of one length are labels ordered among themselves
+            ech = SparseEchelon(pres.field)
             for row in degree_ideal_rows(pres, d):
                 ech.add(row)
-            brute.append(3**d - ech.rank)
-        assert _graded_dims(pres, 5) == brute, label
+            brute.append(pres.ngens**d - ech.rank)
+        assert _graded_dims(pres, D) == brute, label
 
 
 def test_oracle_matches_completion_to_degree_10():

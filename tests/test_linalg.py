@@ -59,6 +59,26 @@ def test_sparse_echelon_reduce():
         check_sparse_echelon(field)
 
 
+def test_sparse_echelon_pivot_is_the_largest_label():
+    # rows arrive with their labels in scrambled order, negative labels
+    # among them: each new pivot is the largest label of the row's
+    # remainder, and a stored or back-substituted tail holds only smaller
+    # labels
+    rng = random.Random(23)
+    for field in FIELDS:
+        labels = rng.sample(range(-40, 40), 14)
+        ech = SparseEchelon(field)
+        for _ in range(12):
+            row = {c: scalar(field, rng) or field.one for c in rng.sample(labels, 5)}
+            rem = ech.reduce(row)
+            before = set(ech.rows)
+            assert ech.add(row) == bool(rem)
+            assert set(ech.rows) - before == ({max(rem)} if rem else set())
+        assert ech.rank > 1
+        for piv, tail in list(ech.rows.items()) + list(ech.back_substitute().items()):
+            assert all(c < piv for c in tail), (field, piv)
+
+
 def check_sparse_echelon(field):
     rng = random.Random(11)
     ncols = 12
@@ -68,7 +88,7 @@ def check_sparse_echelon(field):
             for _ in range(rng.randrange(1, 10))
         ]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        ech = SparseEchelon(field, lambda c: c)
+        ech = SparseEchelon(field)
         grew = [ech.add(row) for row in sparse]
         assert ech.rank == sum(grew) == dense_rank(dense, field)
         for row in sparse:

@@ -383,6 +383,21 @@ def test_recursion_matches_nullspace_reference():
     assert outcomes[RecursionOutcome.SIGMA] > 0 and outcomes[RecursionOutcome.CONTINUE] > 0, outcomes
 
 
+def test_recursion_never_reaches_full_rank():
+    # the determinant of the recursion's system stays 0 from a = b = 0 on
+    # (the proof is in `coefficient_recursion`'s docstring): over GF(7) and
+    # GF(13), every pair (alpha, gamma) != (0, 0) runs p*p steps without a
+    # full-rank system, and each ends in the finite branch
+    for field in (GF(7), GF(13)):
+        p = field.p
+        for alpha, gamma in itertools.product(range(p), repeat=2):
+            if not (alpha or gamma):
+                continue
+            states = coefficient_recursion(field, field.from_int(alpha), field.from_int(gamma), p * p)
+            assert all(s.outcome is not RecursionOutcome.RANK_ANOMALY for s in states), (p, alpha, gamma)
+            assert states[-1].outcome is RecursionOutcome.SIGMA, (p, alpha, gamma)
+
+
 def test_recursion_matches_basis_coefficients():
     # the element with leading word x z^k x carries -a_k on x z^{k+1}, and
     # likewise for y
