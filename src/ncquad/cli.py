@@ -176,11 +176,8 @@ def _gb(pres, degree):
     basis = complete(pres, degree)
     return {
         "gb": [
-            {
-                "lead": render_word(g.leading_word(basis.order), pres.names),
-                "poly": render_poly(g, pres.names, basis.order),
-            }
-            for g in basis.elements
+            {"lead": render_word(lead, pres.names), "poly": render_poly(g, pres.names, basis.order)}
+            for lead, g in zip(basis.lead_words(), basis.elements)
         ],
         "complete": True,
         "degree_bound": basis.degree_bound,

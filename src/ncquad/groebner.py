@@ -15,6 +15,7 @@ certified.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -62,21 +63,20 @@ def check_relation(r: NcPoly, field, ngens: int, names) -> None:
 
 
 class LeadIndex:
-    """Elements keyed by leading word, with the lead lengths longest first.
+    """Elements keyed by the packed codes of their leading words, with the
+    lead lengths longest first.
 
     `steps` counts the reduction steps taken through the index.
 
     The reduction kernel carries each word as one int, its packed code in
     base B = ngens + 1 (`MonomialOrder.digits`): deg-lex order is integer
-    order, and the empty word is 0.  The first reduction, `is_normal` test
-    or degree of `complete` builds the packed tables (`tables`):
-    `codes` sends the code of each lead to its element, and `tails` holds,
-    per lead code, the element's other terms as two tuples: their
-    (code, B^length) pairs and the values of their negated coefficients,
-    each value being `field.lift` of it (`scalars.Field`).  A tail is built
-    the first time a reduction rewrites with its element or an S-polynomial
-    (`s_polynomial`) reads it.  An index that never reduces or tests a word
-    holds none of this.
+    order, and the empty word is 0.  `codes` is the one store of the leads:
+    it sends the code of each lead to its element, in the order the leads
+    joined.  `tails` holds, per lead code, the element's other terms as two
+    tuples: their (code, B^length) pairs and the values of their negated
+    coefficients, each value being `field.lift` of it (`scalars.Field`).  A
+    tail is built the first time a reduction rewrites with its element or
+    an S-polynomial (`s_polynomial`) reads it.
 
     `memo` is None, or the kernel's memo of rewrites (`_normal_form`),
     keyed by negated word codes: a reducible word maps to the tuple of the
@@ -89,24 +89,33 @@ class LeadIndex:
     goes; an element replaced with a new tail empties the memo once some
     entry may have rewritten with it, that is, once its tail was built.
 
-    The index decodes each word it outputs once, so the normal forms it
-    returns and the elements `monic` makes share their word tuples; they
-    take their coefficients from `field.element`, which over GF(p) builds
-    one object per residue.
+    The index decodes each word it outputs once (`decode`), and records
+    each lead word as its code's word, so the leads, the normal forms it
+    returns and the elements `monic` makes share their word tuples with
+    the elements; they take their coefficients from `field.element`, which
+    over GF(p) builds one object per residue.
     """
 
     # callers keep bases, and with them their indexes, so neither has a dict
     __slots__ = (
-        "order", "by_lead", "lengths", "steps", "codes", "memo", "tails",
+        "order", "lengths", "steps", "codes", "memo", "tails",
         "_base", "_digit", "_letter", "_powers", "_suffixes", "_words",
     )
 
     def __init__(self, order, elements=(), leads=None):
         self.order = order
-        self.by_lead = {}
+        self._digit = order.digits()
+        self._base = len(self._digit) + 1
+        self._letter = [None] * self._base
+        for g, d in enumerate(self._digit):
+            self._letter[d] = g
+        self._powers = [1]
+        self._suffixes = []
+        self._words = {}
         self.lengths = []
         self.steps = 0
-        self.codes = None
+        self.codes = {}
+        self.tails = {}
         self.memo = None
         for g, lead in zip(elements, leads or itertools.repeat(None)):
             self.add(g, lead)
@@ -116,20 +125,19 @@ class LeadIndex:
         lead.  A caller that knows the lead passes it, and g is not scanned."""
         if lead is None:
             lead = g.leading_word(self.order)
-        self.by_lead[lead] = g
         if len(lead) not in self.lengths:
             self.lengths.append(len(lead))
             self.lengths.sort(reverse=True)
             self._suffixes = []  # its rows depend on the lead lengths
-        if self.codes is not None:
-            code = self.encode(lead)
-            self.codes[code] = g
-            rewrote = self.tails.pop(code, None) is not None
-            if self.memo:
-                if rewrote:
-                    self.memo.clear()
-                else:
-                    self.memo.pop(-code, None)
+        code = self.encode(lead)
+        self.codes[code] = g
+        self._words[code] = lead
+        rewrote = self.tails.pop(code, None) is not None
+        if self.memo:
+            if rewrote:
+                self.memo.clear()
+            else:
+                self.memo.pop(-code, None)
         return lead
 
     def tables(self, n):
@@ -141,17 +149,6 @@ class LeadIndex:
         divisors that cut a lead of L letters off the front of the suffix.
         It and the powers of B grow on demand.
         """
-        if self.codes is None:
-            self._digit = self.order.digits()
-            self._base = len(self._digit) + 1
-            self._letter = [None] * self._base
-            for g, d in enumerate(self._digit):
-                self._letter[d] = g
-            self._powers = [1]
-            self._suffixes = []
-            self._words = {}
-            self.codes = {self.encode(lead): g for lead, g in self.by_lead.items()}
-            self.tails = {}
         powers = self._powers
         while len(powers) <= n:
             powers.append(powers[-1] * self._base)
@@ -167,6 +164,19 @@ class LeadIndex:
         for g in word:
             code = code * base + digit[g]
         return code
+
+    def decode(self, code) -> tuple:
+        """The word of a packed code, decoded once per index."""
+        w = self._words.get(code)
+        if w is None:
+            base, letter = self._base, self._letter
+            digits = []
+            rest = code
+            while rest:
+                rest, d = divmod(rest, base)
+                digits.append(letter[d])
+            w = self._words[code] = tuple(reversed(digits))
+        return w
 
     def is_normal(self, word) -> bool:
         """No lead word of the index occurs in `word`: one packed redex
@@ -204,21 +214,9 @@ class LeadIndex:
         return work
 
     def unpack(self, out, field):
-        """Terms of a packed normal form with settled values, each word
-        decoded once per index."""
-        words, base, letter, element = self._words, self._base, self._letter, field.element
-        terms = {}
-        for code, c in out.items():
-            w = words.get(code)
-            if w is None:
-                digits = []
-                rest = code
-                while rest:
-                    rest, d = divmod(rest, base)
-                    digits.append(letter[d])
-                w = words[code] = tuple(reversed(digits))
-            terms[w] = element(c)
-        return terms
+        """Terms of a packed normal form with settled values."""
+        decode, element = self.decode, field.element
+        return {decode(code): element(c) for code, c in out.items()}
 
     def reduce(self, f: NcPoly) -> NcPoly:
         return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
@@ -236,41 +234,34 @@ class GroebnerBasis:
     """Truncated reduced basis: monic elements, certified up to `degree_bound`.
 
     `stats` holds one `DegreeStats` per degree that `complete` processed
-    (empty for a basis built directly).  A basis from `complete` also keeps
-    `insertion`: the k-th element was the insertion[k]-th that the
-    completion added, which is all `extend` needs besides the elements and
-    their leads; a basis built directly has None there.  `leads`, when
-    given, are the elements' lead words, so the index scans none.
+    (empty for a basis built directly).  `index` keeps the elements under
+    their lead codes; `leads`, when given, are the elements' lead words, so
+    the index scans none.
     """
 
-    __slots__ = ("presentation", "elements", "degree_bound", "stats", "insertion", "index", "_automaton")
+    __slots__ = ("presentation", "elements", "degree_bound", "stats", "index", "_automaton")
 
-    def __init__(self, presentation, elements, degree_bound, stats=(), leads=None, insertion=None):
+    def __init__(self, presentation, elements, degree_bound, stats=(), leads=None):
         self.presentation = presentation
         self.elements = tuple(elements)
         self.degree_bound = degree_bound
         self.stats = tuple(stats)
-        self.insertion = insertion
         self.index = LeadIndex(presentation.order, self.elements, leads)
         self._automaton = None
 
     def extend(self, degree_bound: int) -> GroebnerBasis:
         """This basis certified to `degree_bound`: the degrees above its
         bound go through `complete`'s loop, which resumes from the elements
-        in the order the completion added them.  The overlaps above the
-        bound are recomputed from the leads, so the result equals
+        and their leads, in any order.  The overlaps above the bound are
+        recomputed from the leads, and a degree's work depends only on the
+        leads below it and on the relations, so the result equals
         `complete(presentation, degree_bound)` element for element, with
         the same `DegreeStats` at every degree.  A bound at or below this
         one returns this basis."""
-        if self.insertion is None:
-            raise ValueError("a basis built directly, not by complete, cannot be extended")
         if degree_bound <= self.degree_bound:
             return self
-        # the index holds the elements in order, under distinct leads
-        added = [None] * len(self.elements)
-        for pair, m in zip(self.index.by_lead.items(), self.insertion):
-            added[m] = pair
-        return _complete_degrees(self.presentation, added, self.degree_bound, degree_bound, self.stats)
+        resumed = zip(self.lead_words(), self.index.codes.values())
+        return _complete_degrees(self.presentation, resumed, self.degree_bound, degree_bound, self.stats)
 
     def automaton(self, degree: int):
         """The lead-word automaton (`_lead_automaton`) for normal words up to
@@ -283,7 +274,7 @@ class GroebnerBasis:
                 f"normal words requested to degree {degree}, basis certified to {self.degree_bound}"
             )
         if self._automaton is None:
-            self._automaton = _lead_automaton(self.index.by_lead, self.order.gens_descending())
+            self._automaton = _lead_automaton(set(self.lead_words()), self.order.gens_descending())
         return self._automaton
 
     @property
@@ -295,7 +286,9 @@ class GroebnerBasis:
         return self.presentation.field
 
     def lead_words(self):
-        return tuple(g.leading_word(self.order) for g in self.elements)
+        """The lead words, decoded from the index's codes: one per element
+        when the leads are distinct, as a reduced basis's are."""
+        return tuple(map(self.index.decode, self.index.codes))
 
     def reduce(self, f: NcPoly) -> NcPoly:
         """Normal form of f; f must lie over the basis's field and generators,
@@ -355,10 +348,8 @@ def _normal_form_terms(terms, index, field):
     `_normal_form`."""
     if not terms:
         return {}
-    n = max(map(len, terms))
-    index.tables(n)  # the encoding is built with the tables
     encode, lift = index.encode, field.lift
-    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, n, index, field)
+    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, max(map(len, terms)), index, field)
 
 
 def _normal_form(work, n, index, field):
@@ -474,8 +465,13 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     index, with no polynomial arithmetic: a tail word t of i becomes
     t.B^|R| + code(R), with its stored value lift(-c) negated, and a tail
     word t of j becomes code(L).B^|t| + t, with its stored value.  The
-    obstructions of a degree go in (code, i, j) order, i and j being the
-    order in which the leads joined: packed-code order is deg-lex order.
+    obstructions of a degree go in (code, c_i, c_j) order: packed-code
+    order is deg-lex order.  No lead of a reduced basis contains another,
+    so a word is the overlap of one prefix lead and one suffix lead at
+    most, and the leads' codes break ties only where a basis built
+    directly holds leads that contain one another.  So a degree's work
+    depends only on the leads below it and on the relations, not on the
+    order in which the leads joined.
     The kernel returns the words of a normal form in descending order, so
     the lead of a new element is its first word, the largest code, and is
     never searched for.
@@ -489,19 +485,18 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     return _complete_degrees(presentation, (), 0, degree_bound, ())
 
 
-def _complete_degrees(presentation, added, low, high, stats) -> GroebnerBasis:
-    """Degrees low+1 through high of `complete`, after a completion through
-    `low` that added the (lead, element) pairs `added`, in that order, and
+def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
+    """Degrees low+1 through high of `complete`, resumed from the (lead,
+    element) pairs, in any order, of a completion through `low` that
     recorded `stats`."""
-    order = presentation.order
     field = presentation.field
     ngens = presentation.ngens
-    basis = [g for _, g in added]
-    leads = [lead for lead, _ in added]
-    index = LeadIndex(order, basis, leads)
+    index = LeadIndex(presentation.order)
+    for lead, g in resumed:
+        index.add(g, lead)
+    codes = index.codes
     index.tables(high)
-    powers = index._powers
-    codes = [index.encode(lead) for lead in leads]
+    powers = index._powers  # a lead of L letters has B^(L-1) <= code < B^L
     relations: dict[int, list] = {}
     for r in presentation.relations:
         if low < r.degree():
@@ -512,20 +507,19 @@ def _complete_degrees(presentation, added, low, high, stats) -> GroebnerBasis:
     # only uses elements that are already final
     queue: dict[int, list] = {}
 
-    def enqueue(i, j):
-        a, b = len(leads[i]), len(leads[j])
-        ci, cj = codes[i], codes[j]
+    def enqueue(ci, cj):
+        a, b = bisect.bisect(powers, ci), bisect.bisect(powers, cj)
         # overlaps of k letters make words of a + b - k letters, in (low, high]
         for k in range(max(1, a + b - high), min(a, b, a + b - low)):
             shift = powers[b - k]
             if ci % powers[k] == cj // shift:
-                queue.setdefault(a + b - k, []).append((ci * shift + cj % shift, i, j))
+                queue.setdefault(a + b - k, []).append((ci * shift + cj % shift, ci, cj, a, b))
 
     # a resumed completion recomputes the overlaps above `low` of the leads
-    # it starts from; their insertion order fixes the (code, i, j) order
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            enqueue(i, j)
+    # it starts from
+    for ci in codes:
+        for cj in codes:
+            enqueue(ci, cj)
 
     lift = field.lift
     stats = list(stats)
@@ -538,12 +532,12 @@ def _complete_degrees(presentation, added, low, high, stats) -> GroebnerBasis:
         # suffices
         queued = queue.pop(d, [])
         items = sorted(item for item in queued if not _has_interior_lead(item[0], d, index))
-        spolys = (index.s_polynomial(code, d, len(leads[i]), len(leads[j]), lift) for code, i, j in items)
+        spolys = (index.s_polynomial(code, d, a, b, lift) for code, _, _, a, b in items)
         reduced = itertools.chain(
             (_normal_form_terms(r.terms, index, field) for r in relations.get(d, ())),
             (_normal_form(work, d, index, field) for work in spolys),
         )
-        new_idx = []
+        new = []
         zero = 0
         steps_before = index.steps
         for h in reduced:
@@ -551,41 +545,29 @@ def _complete_degrees(presentation, added, low, high, stats) -> GroebnerBasis:
                 zero += 1
                 continue
             lead = next(iter(h))  # the kernel's words come in descending order
-            g = index.monic(NcPoly(field, ngens, h), lead)
-            index.add(g, lead)
-            basis.append(g)
-            leads.append(lead)
-            codes.append(index.encode(lead))
-            m = len(basis) - 1
-            new_idx.append(m)
-            for e in range(len(basis)):
-                enqueue(m, e)
-                if e != m:
-                    enqueue(e, m)
+            index.add(index.monic(NcPoly(field, ngens, h), lead), lead)
+            cm = index.encode(lead)
+            new.append(cm)
+            for ce in codes:
+                enqueue(cm, ce)
+                if ce != cm:
+                    enqueue(ce, cm)
         # tail-reduce the degree-d additions against the full basis; their
         # leads are normal for each other, only tails can interact
-        for m in new_idx:
-            lead = leads[m]
-            terms = basis[m].terms
+        for cm in new:
+            lead = index.decode(cm)
+            terms = codes[cm].terms
             tail = {w: c for w, c in terms.items() if w != lead}
             red = _normal_form_terms(tail, index, field)
             if red != tail:
-                basis[m] = g = NcPoly(field, ngens, {lead: terms[lead], **red})
-                index.add(g, lead)
+                index.add(NcPoly(field, ngens, {lead: terms[lead], **red}), lead)
         stats.append(
-            DegreeStats(d, len(items), zero, index.steps - steps_before, len(new_idx), len(queued) - len(items))
+            DegreeStats(d, len(items), zero, index.steps - steps_before, len(new), len(queued) - len(items))
         )
 
     # by lead length, then descending deg-lex, which is descending code
-    insertion = sorted(range(len(basis)), key=lambda m: (len(leads[m]), -codes[m]))
-    return GroebnerBasis(
-        presentation,
-        [basis[m] for m in insertion],
-        high,
-        stats,
-        leads=[leads[m] for m in insertion],
-        insertion=tuple(insertion),
-    )
+    ordered = sorted(codes, key=lambda c: (bisect.bisect(powers, c), -c))
+    return GroebnerBasis(presentation, [codes[c] for c in ordered], high, stats, leads=list(map(index.decode, ordered)))
 
 
 def _lead_automaton(leads, gens):

@@ -24,9 +24,12 @@ from .linalg import SparseEchelon, nullspace, rank, rref  # noqa: F401
 from .ncpoly import NcPoly
 
 
-def _degree2_words(ngens, order):
-    words = [(i, j) for i in range(ngens) for j in range(ngens)]
-    return sorted(words, key=order.key, reverse=True)
+def degree2_rows(relations, order):
+    """The degree-2 words in descending order, and the coefficient rows of
+    the quadratic `relations` over them."""
+    gens = order.gens_descending()
+    words = [(i, j) for i in gens for j in gens]
+    return words, [[r.coeff(w) for w in words] for r in relations]
 
 
 class QuadraticAlgebra:
@@ -37,9 +40,8 @@ class QuadraticAlgebra:
         for r in presentation.relations:
             if r.degree() != 2:
                 raise ValueError("quadratic algebra needs degree-2 relations")
-        self._words = _degree2_words(presentation.ngens, presentation.order)
+        self._words, rows = degree2_rows(presentation.relations, presentation.order)
         field = presentation.field
-        rows = [[r.coeff(w) for w in self._words] for r in presentation.relations]
         reduced, _ = rref(rows, field)
         relations = tuple(
             NcPoly.from_pairs(field, presentation.ngens, zip(self._words, row))
@@ -59,9 +61,6 @@ class QuadraticAlgebra:
     @property
     def ngens(self):
         return self.presentation.ngens
-
-    def relation_matrix(self):
-        return [[r.coeff(w) for w in self._words] for r in self.presentation.relations]
 
     def groebner(self, degree_bound: int) -> GroebnerBasis:
         """A basis certified at least to `degree_bound`.  The algebra keeps
@@ -88,8 +87,8 @@ def dual_algebra(algebra: QuadraticAlgebra) -> QuadraticAlgebra:
     """The quadratic algebra on the orthogonal complement of the relation
     space under the monomial dot pairing on degree-2 words."""
     field = algebra.field
-    words = algebra._words
-    perp = nullspace(algebra.relation_matrix(), len(words), field)
+    words, rows = degree2_rows(algebra.presentation.relations, algebra.presentation.order)
+    perp = nullspace(rows, len(words), field)
     relations = tuple(
         NcPoly.from_pairs(field, algebra.ngens, zip(words, row)) for row in perp
     )

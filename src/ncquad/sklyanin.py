@@ -28,11 +28,11 @@ from .groebner import Presentation
 from .linalg import mat_mul, rref
 from .ncpoly import LinearSub, NcPoly, apply_sub, degree_lex
 from .potential import relations_from_potential, sklyanin_potential, staircase_potential, sum_cube_potential
+from .quadratic import degree2_rows
 from .scalars import QQ_THETA
 
 X, Y, Z = 0, 1, 2
 _ORDER3 = degree_lex(3)
-_WORDS2 = sorted(((i, j) for i in range(3) for j in range(3)), key=_ORDER3.key, reverse=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,17 +112,14 @@ def staircase_presentation(field, alpha, gamma) -> Presentation:
 # relation-space transport
 
 
-def _rows(relations):
-    """Coefficient rows of quadratic relations over the degree-2 words."""
-    return [[rel.coeff(w) for w in _WORDS2] for rel in relations]
-
-
 def _verified(sub, source, target, what):
     moved = source.relations
     # the identity moves no relation, so only the row spaces are compared
     if sub.matrix != LinearSub.identity(sub.field, sub.ngens).matrix:
         moved = [apply_sub(rel, sub) for rel in moved]
-    if rref(_rows(moved), source.field) != rref(_rows(target.relations), source.field):
+    _, moved_rows = degree2_rows(moved, _ORDER3)
+    _, target_rows = degree2_rows(target.relations, _ORDER3)
+    if rref(moved_rows, source.field) != rref(target_rows, source.field):
         raise AssertionError(f"{what}: substitution does not transport the relation space")
     return sub
 
@@ -350,21 +347,22 @@ def substitution_chain(field, a, b) -> ChainResult:
 
     composed = s4.compose(s3).compose(s2).compose(s1)
     source = sklyanin_presentation(field, a, b, one)
-    reduced, pivots = rref(_rows(apply_sub(rel, composed) for rel in source.relations), field)
-    lead_words = [_WORDS2[c] for c in pivots]
+    words, rows = degree2_rows((apply_sub(rel, composed) for rel in source.relations), _ORDER3)
+    reduced, pivots = rref(rows, field)
+    lead_words = [words[c] for c in pivots]
     if lead_words != [(X, X), (X, Y), (Y, Z)]:
         raise AssertionError(f"transported leading words are {lead_words}")
-    idx = {w: i for i, w in enumerate(_WORDS2)}
-    alpha = reduced[0][idx[(Z, Z)]]
-    gamma = reduced[1][idx[(Z, Z)]]
-    if reduced != _rows(staircase_relations(field, alpha, gamma)):
+    zz = words.index((Z, Z))
+    alpha = reduced[0][zz]
+    gamma = reduced[1][zz]
+    if reduced != degree2_rows(staircase_relations(field, alpha, gamma), _ORDER3)[1]:
         raise AssertionError("transported relations are not of staircase shape")
     if not (alpha or gamma):
         raise AssertionError("alpha = gamma = 0 cannot arise from an admissible pair")
 
     # the same data through the potential route must give the same span
     pot = apply_sub(apply_sub(pot, s3), s4)
-    if rref(_rows(relations_from_potential(pot)), field) != (reduced, pivots):
+    if rref(degree2_rows(relations_from_potential(pot), _ORDER3)[1], field) != (reduced, pivots):
         raise AssertionError("potential route and relation route disagree")
     nu = pot.coeff((X, X, X))
     if pot != staircase_potential(field, alpha, gamma).scale(nu):
