@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatchError, HomogeneityError, IncompleteBasisError, MixedFieldsError
 from .linalg import SparseEchelon
-from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex, render_poly
+from .ncpoly import MonomialOrder, NcPoly, _default_names, degree_lex, render_poly, render_word
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,8 @@ class LeadIndex:
     tuples: their (code, B^length) pairs and the values of their negated
     coefficients, each value being `field.lift` of it (`scalars.Field`).  A
     tail is built the first time a reduction rewrites with its element or
-    an S-polynomial (`s_polynomial`) reads it.
-
-    `memo` is None, or the kernel's memo of rewrites (`_normal_form`),
-    keyed by negated word codes: a reducible word maps to the tuple of the
-    negated codes its step writes and the lead's shared tail values, a
-    normal word to a mark.  `complete` gives its index a new memo at each
-    degree; any other reduction keeps its memo for one call only.  The
-    memo stays sound while no added lead is shorter than a memoized word,
-    which `complete` keeps, since a degree meets only words of its length.
-    `add` drops what goes stale: a new lead was a normal word, so its mark
-    goes; an element replaced with a new tail empties the memo once some
-    entry may have rewritten with it, that is, once its tail was built.
+    an S-polynomial (`s_polynomial`) reads it, and `add` drops it when the
+    element is replaced.
 
     The index decodes each word it outputs once (`decode`), and records
     each lead word as its code's word, so the leads, the normal forms it
@@ -98,7 +88,7 @@ class LeadIndex:
 
     # callers keep bases, and with them their indexes, so neither has a dict
     __slots__ = (
-        "order", "lengths", "steps", "codes", "memo", "tails",
+        "order", "lengths", "steps", "codes", "tails",
         "_base", "_digit", "_letter", "_powers", "_suffixes", "_words",
     )
 
@@ -116,7 +106,6 @@ class LeadIndex:
         self.steps = 0
         self.codes = {}
         self.tails = {}
-        self.memo = None
         for g, lead in zip(elements, leads or itertools.repeat(None)):
             self.add(g, lead)
 
@@ -132,12 +121,7 @@ class LeadIndex:
         code = self.encode(lead)
         self.codes[code] = g
         self._words[code] = lead
-        rewrote = self.tails.pop(code, None) is not None
-        if self.memo:
-            if rewrote:
-                self.memo.clear()
-            else:
-                self.memo.pop(-code, None)
+        self.tails.pop(code, None)
         return lead
 
     def tables(self, n):
@@ -236,7 +220,10 @@ class GroebnerBasis:
     `stats` holds one `DegreeStats` per degree that `complete` processed
     (empty for a basis built directly).  `index` keeps the elements under
     their lead codes; `leads`, when given, are the elements' lead words, so
-    the index scans none.
+    the index scans none.  Two elements with one lead are refused, since
+    the index keeps one element per lead.  A basis built directly need not
+    be reduced for `reduce`, `normal_words` and `hilbert_coeffs`; `extend`
+    checks that it is.
     """
 
     __slots__ = ("presentation", "elements", "degree_bound", "stats", "index", "_automaton")
@@ -247,6 +234,10 @@ class GroebnerBasis:
         self.degree_bound = degree_bound
         self.stats = tuple(stats)
         self.index = LeadIndex(presentation.order, self.elements, leads)
+        if len(self.index.codes) < len(self.elements):
+            leads = [g.leading_word(self.order) for g in self.elements]
+            twice = next(w for k, w in enumerate(leads) if w in leads[:k])
+            raise ValueError(f"two elements have the lead {render_word(twice, presentation.names)}")
         self._automaton = None
 
     def extend(self, degree_bound: int) -> GroebnerBasis:
@@ -257,10 +248,22 @@ class GroebnerBasis:
         leads below it and on the relations, so the result equals
         `complete(presentation, degree_bound)` element for element, with
         the same `DegreeStats` at every degree.  A bound at or below this
-        one returns this basis."""
+        one returns this basis.
+
+        Only a truncated reduced basis resumes so: a `ValueError` refuses an
+        element whose lead coefficient is not 1, or one with a word other
+        than its lead that holds a lead (for the lead w itself, w[1:] or
+        w[:-1] holds one)."""
         if degree_bound <= self.degree_bound:
             return self
-        resumed = zip(self.lead_words(), self.index.codes.values())
+        index, one, names = self.index, self.field.one, self.presentation.names
+        leads = self.lead_words()
+        for lead, g in zip(leads, index.codes.values()):
+            if g.terms[lead] != one:
+                raise ValueError(f"the element of lead {render_word(lead, names)} is not monic")
+            if not all(map(index.is_normal, [lead[1:], lead[:-1], *(w for w in g.terms if w != lead)])):
+                raise ValueError(f"the element of lead {render_word(lead, names)} is not reduced")
+        resumed = zip(leads, index.codes.values())
         return _complete_degrees(self.presentation, resumed, self.degree_bound, degree_bound, self.stats)
 
     def automaton(self, degree: int):
@@ -343,16 +346,16 @@ def _find_redex(code, codes, suffixes):
 _NORMAL = object()  # the memo's mark of a normal word
 
 
-def _normal_form_terms(terms, index, field):
+def _normal_form_terms(terms, index, field, memo=None):
     """Fully reduce a term dict: its words encoded as packed work for
     `_normal_form`."""
     if not terms:
         return {}
     encode, lift = index.encode, field.lift
-    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, max(map(len, terms)), index, field)
+    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, max(map(len, terms)), index, field, memo)
 
 
-def _normal_form(work, n, index, field):
+def _normal_form(work, n, index, field, memo=None):
     """Fully reduce packed work, rewriting each word at its rightmost redex.
 
     `work` maps the negated packed codes (`LeadIndex`) of words of at most
@@ -368,12 +371,13 @@ def _normal_form(work, n, index, field):
     each tail term t.
 
     The redex search and those codes depend only on w, so they are
-    memoized in `index.memo` (a memo for this call alone when it is None):
-    the first pop of w stores its rewrite, the negated codes u with the
-    lead's shared tail values, or the normal mark, and each later pop of w
-    replays it.  Within one call no word is popped twice; the memo pays
-    across the reductions of one degree of `complete`.  A monomial
-    element's rewrite is empty, which is a step to zero, not the mark.
+    memoized in `memo`, keyed by negated codes (a memo for this call alone
+    when it is None): the first pop of w stores its rewrite, the negated
+    codes u with the lead's shared tail values, or the normal mark, and
+    each later pop of w replays it.  Within one call no word is popped
+    twice; the memo pays across the reductions of one degree of `complete`,
+    which shares it.  A monomial element's rewrite is empty, which is a
+    step to zero, not the mark.
 
     A step adds c * lift(-ct) to a word unsettled, and the sum is settled
     once, when the word is popped; over GF(p) that is one reduction mod p
@@ -387,7 +391,6 @@ def _normal_form(work, n, index, field):
     # the lead lengths may have changed since the last call, and with them
     # the rows of the redex search
     codes, tails, suffixes = index.tables(n)
-    memo = index.memo
     if memo is None:
         memo = {}
     heap = list(work)
@@ -476,9 +479,12 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     the lead of a new element is its first word, the largest code, and is
     never searched for.
 
-    The reductions of one degree share one memo of rewrites (`LeadIndex`),
-    which the next degree replaces; the returned basis holds none, and
-    `GroebnerBasis.extend` continues it through the same loop.
+    The relations and S-polynomials of a degree share one memo of rewrites
+    (`_normal_form`); the next degree, whose words are longer, starts
+    another.  A lead that joins within the degree was a normal word and
+    occurs in no other word of its length, so only its mark goes.  The
+    tail pass replaces elements, so each tail gets a memo of its own.
+    `GroebnerBasis.extend` runs the same loop.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound {degree_bound} is negative")
@@ -524,9 +530,7 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
     lift = field.lift
     stats = list(stats)
     for d in range(low + 1, high + 1):
-        # the reductions of degree d meet only words of length d, so the
-        # rewrites of lower degrees are of no further use
-        index.memo = {}
+        memo = {}  # the rewrites of degree d (see `complete`)
         # the index holds every lead below d, and no degree-d lead fits
         # strictly inside a word of length d, so one check per degree
         # suffices
@@ -534,8 +538,8 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
         items = sorted(item for item in queued if not _has_interior_lead(item[0], d, index))
         spolys = (index.s_polynomial(code, d, a, b, lift) for code, _, _, a, b in items)
         reduced = itertools.chain(
-            (_normal_form_terms(r.terms, index, field) for r in relations.get(d, ())),
-            (_normal_form(work, d, index, field) for work in spolys),
+            (_normal_form_terms(r.terms, index, field, memo) for r in relations.get(d, ())),
+            (_normal_form(work, d, index, field, memo) for work in spolys),
         )
         new = []
         zero = 0
@@ -547,13 +551,15 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
             lead = next(iter(h))  # the kernel's words come in descending order
             index.add(index.monic(NcPoly(field, ngens, h), lead), lead)
             cm = index.encode(lead)
+            memo.pop(-cm, None)  # the lead was a normal word
             new.append(cm)
             for ce in codes:
                 enqueue(cm, ce)
                 if ce != cm:
                     enqueue(ce, cm)
-        # tail-reduce the degree-d additions against the full basis; their
-        # leads are normal for each other, only tails can interact
+        # tail-reduce the degree-d additions against the full basis, each
+        # with a memo of its own; their leads are normal for each other,
+        # only tails can interact
         for cm in new:
             lead = index.decode(cm)
             terms = codes[cm].terms

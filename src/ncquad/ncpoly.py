@@ -167,9 +167,6 @@ class NcPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order):
-        return self.terms[self.leading_word(order)]
-
     def coeff(self, word):
         return self.terms.get(tuple(word), self.field.zero)
 

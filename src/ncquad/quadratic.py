@@ -40,11 +40,11 @@ class QuadraticAlgebra:
         for r in presentation.relations:
             if r.degree() != 2:
                 raise ValueError("quadratic algebra needs degree-2 relations")
-        self._words, rows = degree2_rows(presentation.relations, presentation.order)
+        words, rows = degree2_rows(presentation.relations, presentation.order)
         field = presentation.field
         reduced, _ = rref(rows, field)
         relations = tuple(
-            NcPoly.from_pairs(field, presentation.ngens, zip(self._words, row))
+            NcPoly.from_pairs(field, presentation.ngens, zip(words, row))
             for row in reduced
         )
         self.presentation = Presentation(

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from ncquad.groebner import (
     normal_words_by_degree,
 )
 from ncquad.linalg import SparseEchelon
-from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly
+from ncquad.ncpoly import MonomialOrder, NcPoly, degree_lex, parse_poly, render_word
 from ncquad.scalars import ThetaRational
 from ncquad.sklyanin import (
     RecursionOutcome,
@@ -436,9 +437,10 @@ def reference_entry(starts, calls):
     """The reference reducer in place of the kernel's packed entry
     `_normal_form`, which relations, S-polynomials and tail reductions all
     reach: it decodes the work to its nonzero elements and appends each
-    call to `calls`."""
+    call to `calls`.  It takes no memo, so it ignores the one `complete`
+    shares."""
 
-    def entry(work, n, index, field):
+    def entry(work, n, index, field, memo=None):
         calls.append(n)
         settle = field.settle
         terms = index.unpack({-key: r for key, v in work.items() if (r := settle(v))}, field)
@@ -681,6 +683,24 @@ def test_extend_resumes_a_basis_built_directly():
         assert_same_basis(GroebnerBasis(p, shuffled, low, g.stats).extend(high), complete(p, high))
 
 
+def test_extend_refuses_a_basis_that_is_not_reduced():
+    # the index keeps one element per lead, and a completion resumes only
+    # from monic elements whose other words hold no lead
+    f7 = GF(7)
+    p = pres(W_RELATIONS, f7)
+    g = complete(p, 4)
+    e0, *rest = g.elements
+    e1 = next(e for e in rest if e.degree() == 2)
+    lead = render_word(e0.leading_word(p.order), NAMES)
+    with pytest.raises(ValueError, match=f"two elements have the lead {re.escape(lead)}"):
+        GroebnerBasis(p, [e0, 2 * e0, *rest], 4, g.stats)
+    for first, reason in ((2 * e0, "not monic"), (e0 + e1, "not reduced")):
+        h = GroebnerBasis(p, [first, *rest], 4, g.stats)
+        with pytest.raises(ValueError, match=f"lead {re.escape(lead)} is {reason}"):
+            h.extend(6)
+    assert_same_basis(GroebnerBasis(p, [e0, *rest], 4, g.stats).extend(6), complete(p, 6))
+
+
 def test_lazy_residues_match_reference(monkeypatch):
     # the kernel carries GF(p) coefficients as ints reduced once per word;
     # the reference does field-object arithmetic at every step
@@ -768,14 +788,17 @@ def test_normal_forms_share_words_and_elements():
     assert len(words) < len(tails) and len(elements) <= 30
 
 
-def reduce_all(index, polys):
-    return [index.reduce(f) for f in polys]
+def reduce_all(index, polys, memo=None):
+    """The normal forms of `polys`, with one memo shared across them (a memo
+    per reduction when it is None, as `LeadIndex.reduce` takes)."""
+    return [NcPoly(f.field, f.ngens, groebner._normal_form_terms(f.terms, index, f.field, memo)) for f in polys]
 
 
 def test_memo_drops_rewrites_of_a_replaced_element():
     # the tail-reduction pass of `complete` replaces an element by one with
-    # the same lead and a new tail; no rewrite the memo took with the old
-    # element may be replayed, at the lead's length or above it
+    # the same lead and a new tail, so it reduces each tail with a memo of
+    # its own: a memo shared across the replacement would replay the
+    # rewrites taken with the old element, at the lead's length or above it
     p = staircase_pairs(505)[1]
     g = complete(p, 6)
     f31, order = p.field, p.order
@@ -798,13 +821,16 @@ def test_memo_drops_rewrites_of_a_replaced_element():
         words |= {tuple(rng.randrange(3) for _ in range(n)) for _ in range(4)}
         polys.append(NcPoly(f31, 3, {w: f31.from_int(rng.randrange(1, 31)) for w in words}))
     index = LeadIndex(order, [unreduced if x is e else x for x in g.elements])
-    index.memo = {}
-    before = reduce_all(index, polys)
+    shared = {}
+    before = reduce_all(index, polys, shared)
     fresh = LeadIndex(order, g.elements)
     assert before == reduce_all(fresh, polys) and index.steps != fresh.steps
     assert index.add(e) == lead
     index.steps = 0
     assert reduce_all(index, polys) == before and index.steps == fresh.steps
+    # the shared memo still rewrites with the old tail
+    index.steps = 0
+    assert reduce_all(index, polys, shared) == before and index.steps != fresh.steps
 
 
 def test_memo_forgets_a_new_lead_was_normal():
@@ -817,11 +843,14 @@ def test_memo_forgets_a_new_lead_was_normal():
     lead = cubic.leading_word(order)
     assert lead == (X, Z, X) and len(cubic.terms) > 1
     index = LeadIndex(order, [e for e in g.elements if e.degree() == 2])
-    index.memo = {}
+    memo = {}
     word = NcPoly.monomial(field, 3, lead)
-    assert index.reduce(word) == word
+    assert reduce_all(index, [word], memo) == [word]
     index.add(cubic)
-    assert index.reduce(word) == LeadIndex(order, g.elements).reduce(word) != word
+    # kept, the normal mark replays; `complete` drops it as the lead joins
+    assert reduce_all(index, [word], dict(memo)) == [word]
+    memo.pop(-index.encode(lead))
+    assert reduce_all(index, [word], memo) == [LeadIndex(order, g.elements).reduce(word)] != [word]
 
 
 def test_memo_rewrites_a_monomial_element_to_zero():
@@ -833,22 +862,22 @@ def test_memo_rewrites_a_monomial_element_to_zero():
     yyy = NcPoly.monomial(field, 3, (Y, Y, Y))
     assert yyy in g.elements
     index = LeadIndex(order, g.elements)
-    index.memo = {}
+    memo = {}
     for _ in range(2):
         steps = index.steps
-        assert index.reduce(yyy) == NcPoly.zero(field, 3)
+        assert reduce_all(index, [yyy], memo) == [NcPoly.zero(field, 3)]
         assert index.steps == steps + 1
-    assert index.memo
+    assert memo
 
 
 def test_bases_hold_no_memo():
-    # the memo lives for one degree of one `complete` call
+    # the memo lives for one degree of one `complete` call, which holds it;
+    # an index has none
     p = parse_presentation((CORPUS / "w.alg").read_text())
     g = complete(p, 6)
-    assert not g.index.memo
+    assert "memo" not in LeadIndex.__slots__ and not hasattr(g.index, "memo")
     f = NcPoly(p.field, 3, {w: p.field.one for w in itertools.product(range(3), repeat=5)})
     assert g.reduce(f) != f and g.index.steps > 0
-    assert not g.index.memo
 
 
 def test_contributions_summing_to_p_cancel():
