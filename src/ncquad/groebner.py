@@ -79,10 +79,10 @@ class LeadIndex:
     an S-polynomial (`s_polynomial`) reads it, and `add` drops it when the
     element is replaced.
 
-    The index decodes each word it outputs once (`decode`), and records
-    each lead word as its code's word, so the leads, the normal forms it
-    returns and the elements `monic` makes share their word tuples with
-    the elements; they take their coefficients from `field.element`, which
+    `unpack` decodes each word of a packed normal form once per index
+    (`decode`), and each lead word is recorded as its code's word, so the
+    leads, the normal forms and the elements of a completion share their
+    word tuples; they take their coefficients from `field.element`, which
     over GF(p) builds one object per residue.
     """
 
@@ -203,15 +203,11 @@ class LeadIndex:
         return {decode(code): element(c) for code, c in out.items()}
 
     def reduce(self, f: NcPoly) -> NcPoly:
-        return NcPoly(f.field, f.ngens, _normal_form_terms(f.terms, self, f.field))
-
-    def monic(self, f: NcPoly, lead) -> NcPoly:
-        """f divided by the coefficient of its lead word, computed on the
-        field's values."""
-        field = f.field
-        lift, settle, element = field.lift, field.settle, field.element
-        inv = lift(f.terms[lead] ** -1)
-        return NcPoly(field, f.ngens, {w: element(settle(lift(c) * inv)) for w, c in f.terms.items()})
+        """The normal form of f: f enters the kernel as packed work, and
+        the packed normal form comes back out as an element."""
+        work = {-self.encode(w): f.field.lift(c) for w, c in f.terms.items()}
+        out = _normal_form(work, max(map(len, f.terms), default=0), self, f.field)
+        return NcPoly(f.field, f.ngens, self.unpack(out, f.field))
 
 
 class GroebnerBasis:
@@ -346,15 +342,6 @@ def _find_redex(code, codes, suffixes):
 _NORMAL = object()  # the memo's mark of a normal word
 
 
-def _normal_form_terms(terms, index, field, memo=None):
-    """Fully reduce a term dict: its words encoded as packed work for
-    `_normal_form`."""
-    if not terms:
-        return {}
-    encode, lift = index.encode, field.lift
-    return _normal_form({-encode(w): lift(c) for w, c in terms.items()}, max(map(len, terms)), index, field, memo)
-
-
 def _normal_form(work, n, index, field, memo=None):
     """Fully reduce packed work, rewriting each word at its rightmost redex.
 
@@ -382,10 +369,10 @@ def _normal_form(work, n, index, field, memo=None):
     A step adds c * lift(-ct) to a word unsettled, and the sum is settled
     once, when the word is popped; over GF(p) that is one reduction mod p
     per word (delayed reduction, as in Monagan and Pearce's heap division).
-    The index decodes the output words and builds the output elements, each
-    once.  A word whose coefficient settles to zero is skipped at the pop.
-    Such a word is never rewritten, so the steps are the same as with a
-    zero test at every sum.
+    A word whose coefficient settles to zero is skipped at the pop.  Such a
+    word is never rewritten, so the steps are the same as with a zero test
+    at every sum.  The normal form stays packed: its codes, in descending
+    order, mapped to their settled values (`LeadIndex.unpack` decodes it).
     """
     lift, settle = field.lift, field.settle
     # the lead lengths may have changed since the last call, and with them
@@ -430,7 +417,7 @@ def _normal_form(work, n, index, field, memo=None):
             else:
                 work[u] = acc + c * nct
     index.steps += steps
-    return index.unpack(out, field)
+    return out
 
 
 def _has_interior_lead(code, d, index):
@@ -475,9 +462,9 @@ def complete(presentation: Presentation, degree_bound: int) -> GroebnerBasis:
     directly holds leads that contain one another.  So a degree's work
     depends only on the leads below it and on the relations, not on the
     order in which the leads joined.
-    The kernel returns the words of a normal form in descending order, so
-    the lead of a new element is its first word, the largest code, and is
-    never searched for.
+    The kernel returns a normal form's codes in descending order, so the
+    lead of a new element is its first code and is never searched for; the
+    element is made monic on the packed values and unpacked once.
 
     The relations and S-polynomials of a degree share one memo of rewrites
     (`_normal_form`); the next degree, whose words are longer, starts
@@ -527,7 +514,7 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
         for cj in codes:
             enqueue(ci, cj)
 
-    lift = field.lift
+    encode, lift, settle = index.encode, field.lift, field.settle
     stats = list(stats)
     for d in range(low + 1, high + 1):
         memo = {}  # the rewrites of degree d (see `complete`)
@@ -536,21 +523,22 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
         # suffices
         queued = queue.pop(d, [])
         items = sorted(item for item in queued if not _has_interior_lead(item[0], d, index))
-        spolys = (index.s_polynomial(code, d, a, b, lift) for code, _, _, a, b in items)
-        reduced = itertools.chain(
-            (_normal_form_terms(r.terms, index, field, memo) for r in relations.get(d, ())),
-            (_normal_form(work, d, index, field, memo) for work in spolys),
+        works = itertools.chain(
+            ({-encode(w): lift(c) for w, c in r.terms.items()} for r in relations.get(d, ())),
+            (index.s_polynomial(code, d, a, b, lift) for code, _, _, a, b in items),
         )
         new = []
         zero = 0
         steps_before = index.steps
-        for h in reduced:
+        for work in works:
+            h = _normal_form(work, d, index, field, memo)
             if not h:
                 zero += 1
                 continue
-            lead = next(iter(h))  # the kernel's words come in descending order
-            index.add(index.monic(NcPoly(field, ngens, h), lead), lead)
-            cm = index.encode(lead)
+            cm = next(iter(h))  # the kernel's codes come in descending order
+            inv = lift(field.element(h[cm]) ** -1)
+            monic = index.unpack({u: settle(v * inv) for u, v in h.items()}, field)
+            index.add(NcPoly(field, ngens, monic), index.decode(cm))
             memo.pop(-cm, None)  # the lead was a normal word
             new.append(cm)
             for ce in codes:
@@ -563,10 +551,10 @@ def _complete_degrees(presentation, resumed, low, high, stats) -> GroebnerBasis:
         for cm in new:
             lead = index.decode(cm)
             terms = codes[cm].terms
-            tail = {w: c for w, c in terms.items() if w != lead}
-            red = _normal_form_terms(tail, index, field)
+            tail = NcPoly(field, ngens, {w: c for w, c in terms.items() if w != lead})
+            red = index.reduce(tail)
             if red != tail:
-                index.add(NcPoly(field, ngens, {lead: terms[lead], **red}), lead)
+                index.add(NcPoly(field, ngens, {lead: terms[lead], **red.terms}), lead)
         stats.append(
             DegreeStats(d, len(items), zero, index.steps - steps_before, len(new), len(queued) - len(items))
         )

@@ -26,11 +26,20 @@ from __future__ import annotations
 from .errors import DimensionMismatchError
 
 
+def _width(rows):
+    """The number of entries of every row; a ragged matrix is refused."""
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"ragged matrix: rows of {sorted(lengths)} entries")
+    return lengths.pop() if lengths else 0
+
+
 def _echelon(rows, field):
     # the pivot of an echelon row is its largest column label, so labelling
     # column j of n as n - 1 - j makes it the leftmost nonzero column; -j
     # would too, but ints below -5 are built anew each time, which made a
     # 3x9 GF(p) rref some 8% slower
+    _width(rows)
     ech = SparseEchelon(field)
     for row in rows:
         ech.add(dict(zip(range(len(row) - 1, -1, -1), row)))
@@ -40,9 +49,9 @@ def _echelon(rows, field):
 def rref(rows, field):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot column indices)."""
     rows = list(rows)
+    reduced = _echelon(rows, field).back_substitute()
     ncols = len(rows[0]) if rows else 0
     last = ncols - 1
-    reduced = _echelon(rows, field).back_substitute()
     zero, one, element = field.zero, field.one, field.element
     dense, pivots = [], []
     for label in sorted(reduced, reverse=True):
@@ -57,7 +66,7 @@ def rref(rows, field):
 
 
 def rank(rows, field):
-    return _echelon(rows, field).rank
+    return _echelon(list(rows), field).rank
 
 
 def row_space_equal(rows_a, rows_b, field):
@@ -68,6 +77,9 @@ def row_space_equal(rows_a, rows_b, field):
 
 def nullspace(rows, ncols, field):
     """Canonical right-nullspace basis of the matrix, one vector per free column."""
+    rows = list(rows)
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatchError(f"a row of the matrix does not have {ncols} entries")
     red, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -82,8 +94,8 @@ def nullspace(rows, ncols, field):
 
 
 def mat_mul(a, b, field):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
+    n, k, m = len(a), len(b), _width(b)
+    if a and _width(a) != k:
         raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {k}x{m}")
     out = []
     for i in range(n):

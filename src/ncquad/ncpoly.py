@@ -9,7 +9,8 @@ default), and is compatible with multiplication on both sides.
 Text syntax: `+`/`-`-joined terms of `*`-separated factors, such as
 `x*y - 1/2*w*y*x + 3*zz`.  A factor is a scalar literal of the field, a unit
 of the field (`w` over Q(w)), a generator name, or a juxtaposed run of
-generator names.  There are no parentheses, so every sign starts a term.
+generator names that splits into names in exactly one way.  There are no
+parentheses, so every sign starts a term.
 Coefficients are read and written by their field (`Field.parse`,
 `Field.units`, `Field.parts`); this module only places them on words.
 """
@@ -313,18 +314,23 @@ def render_poly(f: NcPoly, names, order=None) -> str:
 
 
 def _split_word_token(token, names):
-    """Split a juxtaposed generator token like `xyz` into generator names."""
-    out = []
-    i = 0
-    while i < len(token):
-        for name in sorted(names, key=len, reverse=True):
+    """Split a juxtaposed run of generator names, like `xyz`, into the
+    names.  The run must split in exactly one way: a run that splits in
+    none is an unknown generator, and one that splits in two or more is
+    refused with two of its readings."""
+    # readings[i]: at most two splits of token[i:]
+    readings = [[] for _ in token] + [[[]]]
+    for i in range(len(token) - 1, -1, -1):
+        for name in names:
             if token.startswith(name, i):
-                out.append(name)
-                i += len(name)
-                break
-        else:
-            raise UnknownGeneratorError(f"unknown generator in {token!r}")
-    return out
+                readings[i] += [[name, *rest] for rest in readings[i + len(name)]]
+        del readings[i][2:]
+    if not readings[0]:
+        raise UnknownGeneratorError(f"unknown generator in {token!r}")
+    if len(readings[0]) > 1:
+        first, second = ("*".join(r) for r in readings[0])
+        raise ParseError(f"ambiguous word {token!r}: reads as {first} and as {second}")
+    return readings[0][0]
 
 
 def parse_poly(text, field, names) -> NcPoly:

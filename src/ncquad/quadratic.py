@@ -122,15 +122,13 @@ class DualHypotheses:
     no_dual_degree1_right_annihilator: bool
 
 
-def _stacked_kernel_dim(basis: GroebnerBasis, vectors, products):
+def _stacked_kernel_dim(basis: GroebnerBasis, vectors, multipliers, left):
     """dim of {sum c_j v_j : its product with every multiplier m_i is 0},
-    where vectors[j] is the word v_j and products[j][i] is the word of v_j
-    times m_i.
+    where vectors[j] is the word v_j, multipliers[i] is the word m_i, and
+    the products are m_i v_j when `left` is true and v_j m_i otherwise.
 
-    Preconditions, each checked: the vector words are distinct and have one
-    length; every product puts its multiplier on the same side, and column i
-    holds the same multiplier m_i in every row; the basis is certified
-    through the longest product.
+    The vector words are expected distinct and of one length; the basis
+    must be certified through the longest product, which is checked.
 
     Lead-word certificate: if every v_j has some multiplier whose product
     word is normal, the kernel is 0, and no product is reduced.  Take
@@ -144,22 +142,10 @@ def _stacked_kernel_dim(basis: GroebnerBasis, vectors, products):
     index, normal word); the rows span the image, so the kernel dimension is
     the number of vectors minus their rank, found by sparse elimination.
     """
-    if not vectors:
-        return 0
-    n = len(vectors[0])
-    if len(set(vectors)) != len(vectors) or any(len(v) != n for v in vectors):
-        raise ValueError("the vector words must be distinct and have one length")
-    if len(products) != len(vectors):
-        raise ValueError("one row of products per vector word")
-    rows = list(zip(vectors, products))
-    right = [p[n:] for p in products[0]]
-    left = [p[: len(p) - n] for p in products[0]]
-    on_right = all(list(row) == [v + m for m in right] for v, row in rows)
-    if not (on_right or all(list(row) == [m + v for m in left] for v, row in rows)):
-        raise ValueError("each product must be its vector times the column's multiplier, on one side")
-    degree = n + max(map(len, right), default=0)
+    degree = max(map(len, vectors), default=0) + max(map(len, multipliers), default=0)
     if degree > basis.degree_bound:
         raise IncompleteBasisError(f"products of degree {degree}, basis certified to {basis.degree_bound}")
+    products = [[m + v if left else v + m for m in multipliers] for v in vectors]
     if all(any(map(basis.index.is_normal, row)) for row in products):
         return 0
     field, ngens = basis.field, basis.presentation.ngens
@@ -179,15 +165,16 @@ def dual_hypotheses(algebra: QuadraticAlgebra) -> DualHypotheses:
     degree-2 component from either side.
 
     The annihilator sides multiply the generator words by the normal words
-    of dual degree 2 (`_stacked_kernel_dim`); a side with a normal product
-    for every generator is settled from the lead words alone.
+    of dual degree 2, on the right and on the left (`_stacked_kernel_dim`);
+    a side with a normal product for every generator is settled from the
+    lead words alone.
     """
     dual = algebra.dual()
     g = dual.groebner(4)
     levels = normal_words_by_degree(g, 4)
     gens = [(j,) for j in range(dual.ngens)]
-    left_ann = _stacked_kernel_dim(g, gens, [[x + m for m in levels[2]] for x in gens])
-    right_ann = _stacked_kernel_dim(g, gens, [[m + x for m in levels[2]] for x in gens])
+    left_ann = _stacked_kernel_dim(g, gens, levels[2], left=False)
+    right_ann = _stacked_kernel_dim(g, gens, levels[2], left=True)
     return DualHypotheses(
         dual4_zero=not levels[4],
         dual3_dim=len(levels[3]),
@@ -207,4 +194,4 @@ def right_annihilator_dim(algebra: QuadraticAlgebra, degree: int) -> int:
     """
     g = algebra.groebner(degree + 1)
     words = normal_words_by_degree(g, degree)[degree]
-    return _stacked_kernel_dim(g, words, [[(i,) + u for i in range(algebra.ngens)] for u in words])
+    return _stacked_kernel_dim(g, words, [(i,) for i in range(algebra.ngens)], left=True)

@@ -81,6 +81,8 @@ REJECTED_FILES = [
     ("field Q\n", ParseError, None, "file needs field and gens lines"),
     ("gens x y\n", ParseError, None, "file needs field and gens lines"),
     ("field Q\ngens x y\nrel x*q\n", UnknownGeneratorError, 3, "unknown generator in 'q'"),
+    # a juxtaposed run that splits into names in two ways is refused
+    ("field Q\ngens x xx\nrel xxx - xx*x\n", ParseError, 3, "ambiguous word 'xxx': reads as x*x*x and as x*xx"),
     ("field Q\ngens x y\nrel\n", ParseError, 3, "empty polynomial"),
     ("field Q\ngens x y\nrel x*y +\n", ParseError, 3, "dangling sign in 'x*y +'"),
     ("field Q\ngens x y\nrel x*y + - y*x\n", ParseError, 3, "dangling sign in 'x*y + - y*x'"),

@@ -298,7 +298,7 @@ def test_oracle_independent_of_completion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the completion engine")
 
-    for name in ("_normal_form_terms", "_normal_form", "complete", "normal_words_by_degree", "normal_words"):
+    for name in ("_normal_form", "complete", "normal_words_by_degree", "normal_words"):
         monkeypatch.setattr(groebner, name, refuse)
     monkeypatch.setattr(LeadIndex, "reduce", refuse)
     assert [graded_dim_oracle(pres(W_RELATIONS), d) for d in range(7)] == expected == [1, 3, 6, 10, 17, 30, 52]
@@ -436,15 +436,17 @@ def reference_normal_form_terms(terms, index, starts):
 def reference_entry(starts, calls):
     """The reference reducer in place of the kernel's packed entry
     `_normal_form`, which relations, S-polynomials and tail reductions all
-    reach: it decodes the work to its nonzero elements and appends each
-    call to `calls`.  It takes no memo, so it ignores the one `complete`
-    shares."""
+    reach: it decodes the work to its nonzero elements, returns the normal
+    form packed as the kernel does (codes in descending order, mapped to
+    their values) and appends each call to `calls`.  It takes no memo, so
+    it ignores the one `complete` shares."""
 
     def entry(work, n, index, field, memo=None):
         calls.append(n)
-        settle = field.settle
+        settle, lift = field.settle, field.lift
         terms = index.unpack({-key: r for key, v in work.items() if (r := settle(v))}, field)
-        return reference_normal_form_terms(terms, index, starts)
+        out = reference_normal_form_terms(terms, index, starts)
+        return {code: lift(c) for code, c in sorted(((index.encode(w), c) for w, c in out.items()), reverse=True)}
 
     return entry
 
@@ -788,10 +790,39 @@ def test_normal_forms_share_words_and_elements():
     assert len(words) < len(tails) and len(elements) <= 30
 
 
-def reduce_all(index, polys, memo=None):
-    """The normal forms of `polys`, with one memo shared across them (a memo
-    per reduction when it is None, as `LeadIndex.reduce` takes)."""
-    return [NcPoly(f.field, f.ngens, groebner._normal_form_terms(f.terms, index, f.field, memo)) for f in polys]
+def reduce_all(index, polys):
+    """The normal forms of `polys`, each with a memo of its own."""
+    return [index.reduce(f) for f in polys]
+
+
+def reduce_sharing(index, polys, memo):
+    """The normal forms of `polys` from the packed kernel, with one memo
+    shared across them."""
+    out = []
+    for f in polys:
+        work = {-index.encode(w): f.field.lift(c) for w, c in f.terms.items()}
+        packed = groebner._normal_form(work, f.degree(), index, f.field, memo)
+        out.append(NcPoly(f.field, f.ngens, index.unpack(packed, f.field)))
+    return out
+
+
+def test_kernel_returns_packed_normal_forms():
+    # the kernel returns int codes in descending order with settled values,
+    # and `LeadIndex.reduce` is the boundary that unpacks them
+    p = staircase_pairs(505)[0]
+    g = complete(p, 8)
+    f31 = p.field
+    rng = random.Random(2828)
+    index = LeadIndex(p.order, g.elements)
+    for n in (3, 5, 8):
+        words = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(6)}
+        f = NcPoly(f31, 3, {w: f31.from_int(rng.randrange(1, 31)) for w in words})
+        work = {-index.encode(w): int(c) for w, c in f.terms.items()}
+        out = groebner._normal_form(work, n, index, f31)
+        codes = list(out)
+        assert out and all(type(c) is int for c in codes) and codes == sorted(codes, reverse=True)
+        assert all(type(v) is int and 0 < v < 31 for v in out.values())
+        assert index.unpack(out, f31) == index.reduce(f).terms
 
 
 def test_memo_drops_rewrites_of_a_replaced_element():
@@ -822,7 +853,7 @@ def test_memo_drops_rewrites_of_a_replaced_element():
         polys.append(NcPoly(f31, 3, {w: f31.from_int(rng.randrange(1, 31)) for w in words}))
     index = LeadIndex(order, [unreduced if x is e else x for x in g.elements])
     shared = {}
-    before = reduce_all(index, polys, shared)
+    before = reduce_sharing(index, polys, shared)
     fresh = LeadIndex(order, g.elements)
     assert before == reduce_all(fresh, polys) and index.steps != fresh.steps
     assert index.add(e) == lead
@@ -830,7 +861,7 @@ def test_memo_drops_rewrites_of_a_replaced_element():
     assert reduce_all(index, polys) == before and index.steps == fresh.steps
     # the shared memo still rewrites with the old tail
     index.steps = 0
-    assert reduce_all(index, polys, shared) == before and index.steps != fresh.steps
+    assert reduce_sharing(index, polys, shared) == before and index.steps != fresh.steps
 
 
 def test_memo_forgets_a_new_lead_was_normal():
@@ -845,12 +876,12 @@ def test_memo_forgets_a_new_lead_was_normal():
     index = LeadIndex(order, [e for e in g.elements if e.degree() == 2])
     memo = {}
     word = NcPoly.monomial(field, 3, lead)
-    assert reduce_all(index, [word], memo) == [word]
+    assert reduce_sharing(index, [word], memo) == [word]
     index.add(cubic)
     # kept, the normal mark replays; `complete` drops it as the lead joins
-    assert reduce_all(index, [word], dict(memo)) == [word]
+    assert reduce_sharing(index, [word], dict(memo)) == [word]
     memo.pop(-index.encode(lead))
-    assert reduce_all(index, [word], memo) == [LeadIndex(order, g.elements).reduce(word)] != [word]
+    assert reduce_sharing(index, [word], memo) == [LeadIndex(order, g.elements).reduce(word)] != [word]
 
 
 def test_memo_rewrites_a_monomial_element_to_zero():
@@ -865,7 +896,7 @@ def test_memo_rewrites_a_monomial_element_to_zero():
     memo = {}
     for _ in range(2):
         steps = index.steps
-        assert reduce_all(index, [yyy], memo) == [NcPoly.zero(field, 3)]
+        assert reduce_sharing(index, [yyy], memo) == [NcPoly.zero(field, 3)]
         assert index.steps == steps + 1
     assert memo
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncquad import GF, QQ, QQ_THETA, ThetaRational
+from ncquad.errors import DimensionMismatchError
 from ncquad.linalg import SparseEchelon, mat_inverse, mat_mul, nullspace, rank, row_space_equal, rref
 from ncquad.sklyanin import sklyanin_presentation, staircase_relations
 
@@ -216,3 +217,28 @@ def test_views_match_dense_reference(field):
             else:
                 with pytest.raises(ZeroDivisionError):
                     mat_inverse(m, field)
+
+
+def test_ragged_matrices_refused():
+    # a short row is not read as padded with zeros, nor a long row cut
+    q = QQ.from_int
+    one, two, three, four, five = map(q, (1, 2, 3, 4, 5))
+    cases = [
+        lambda: rref([[one, two], [three]], QQ),
+        lambda: rank([[one], [two, three]], QQ),
+        lambda: rank(iter([[one], [two, three]]), QQ),
+        lambda: nullspace([[one, two, three]], 2, QQ),
+        lambda: nullspace([[one]], 2, QQ),
+        lambda: nullspace([[one, two], [three]], 2, QQ),
+        lambda: mat_mul([[one, two], [three, four, five]], [[one], [one]], QQ),
+        lambda: mat_mul([[one, two]], [[one], [one, two]], QQ),
+        lambda: mat_mul([[one, two]], [[one]], QQ),
+    ]
+    for case in cases:
+        with pytest.raises(DimensionMismatchError):
+            case()
+    # well-formed matrices, empty ones included, still go through
+    assert rref([[one, two], [three, four]], QQ)[1] == [0, 1]
+    assert nullspace([[one, two, three]], 3, QQ) == [[-two, one, q(0)], [-three, q(0), one]]
+    assert nullspace([], 2, QQ) == [[one, q(0)], [q(0), one]]
+    assert mat_mul([], [[one, two]], QQ) == [] and mat_mul([[]], [], QQ) == [[]]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncquad import GF, QQ, QQ_THETA, MixedFieldsError, ThetaRational
+from ncquad import GF, QQ, QQ_THETA, MixedFieldsError, ParseError, ThetaRational, UnknownGeneratorError
 from ncquad.ncpoly import (
     LinearSub,
     NcPoly,
@@ -327,6 +327,28 @@ def test_parse_juxtaposed_words():
     assert poly("xyz") == mono((X, Y, Z))
     assert poly("x*y*z") == mono((X, Y, Z))
     assert poly("3*xy - z*z") == mono((X, Y)).scale(Fraction(3)) - mono((Z, Z))
+
+
+def test_juxtaposed_run_splits_in_one_way():
+    # a run reads only as its unique split into names, not greedily
+    names = ("a", "ab", "bcd")
+    assert parse_poly("abcd", QQ, names) == NcPoly.monomial(QQ, 3, (0, 2))
+    assert parse_poly("ab", QQ, names) == NcPoly.monomial(QQ, 3, (1,))  # a name stays that name
+    names = tuple(f"x{k}" for k in range(12))
+    assert parse_poly("x10x1 + x1x10x0", QQ, names) == NcPoly.from_pairs(
+        QQ, 12, [((10, 1), QQ.one), ((1, 10, 0), QQ.one)]
+    )
+    for names, text, readings in (
+        (("a", "ab", "bc", "c"), "abc", "a*bc and as ab*c"),
+        (("x", "xx"), "xxx - xx*x", "x*x*x and as x*xx"),
+        (("x", "xx"), "3*yxx", None),
+    ):
+        kind = ParseError if readings else UnknownGeneratorError
+        with pytest.raises(kind) as exc:
+            parse_poly(text, QQ, names)
+        assert type(exc.value) is kind
+        if readings:
+            assert str(exc.value) == f"ambiguous word {text.split()[0]!r}: reads as {readings}"
 
 
 def test_parse_theta_coefficient():
