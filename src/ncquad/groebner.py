@@ -40,6 +40,8 @@ class Presentation:
     def __post_init__(self):
         if self.order is None:
             object.__setattr__(self, "order", degree_lex(self.ngens))
+        if (n := len(self.order.precedence)) != self.ngens:
+            raise DimensionMismatchError(f"order in {n} generators, presentation in {self.ngens}")
         if self.names is None:
             object.__setattr__(self, "names", _default_names(self.ngens))
         object.__setattr__(self, "relations", tuple(self.relations))
@@ -69,8 +71,9 @@ class LeadIndex:
     `steps` counts the reduction steps taken through the index.
 
     The reduction kernel carries each word as one int, its packed code in
-    base B = ngens + 1 (`MonomialOrder.digits`): deg-lex order is integer
-    order, and the empty word is 0.  `codes` is the one store of the leads:
+    base B = ngens + 1, which the order encodes and decodes
+    (`MonomialOrder`): deg-lex order is integer order, and the empty word
+    is 0.  `codes` is the one store of the leads:
     it sends the code of each lead to its element, in the order the leads
     joined.  `tails` holds, per lead code, the element's other terms as two
     tuples: their (code, B^length) pairs and the values of their negated
@@ -79,29 +82,25 @@ class LeadIndex:
     an S-polynomial (`s_polynomial`) reads it, and `add` drops it when the
     element is replaced.
 
-    `unpack` decodes each word of a packed normal form once per index
-    (`decode`), and each lead word is recorded as its code's word, so the
-    leads, the normal forms and the elements of a completion share their
-    word tuples; they take their coefficients from `field.element`, which
-    over GF(p) builds one object per residue.
+    `unpack` decodes each word of a packed normal form through the order,
+    which keeps one tuple per code, so the leads, the normal forms and the
+    elements of every basis over one order share their word tuples; they
+    take their coefficients from `field.element`, which over GF(p) builds
+    one object per residue.
     """
 
     # callers keep bases, and with them their indexes, so neither has a dict
     __slots__ = (
-        "order", "lengths", "steps", "codes", "tails",
-        "_base", "_digit", "_letter", "_powers", "_suffixes", "_words",
+        "order", "encode", "decode", "lengths", "steps", "codes", "tails",
+        "_base", "_powers", "_suffixes",
     )
 
     def __init__(self, order, elements=(), leads=None):
         self.order = order
-        self._digit = order.digits()
-        self._base = len(self._digit) + 1
-        self._letter = [None] * self._base
-        for g, d in enumerate(self._digit):
-            self._letter[d] = g
+        self.encode, self.decode = order.encode, order.decode
+        self._base = len(order.digits()) + 1
         self._powers = [1]
         self._suffixes = []
-        self._words = {}
         self.lengths = []
         self.steps = 0
         self.codes = {}
@@ -120,7 +119,6 @@ class LeadIndex:
             self._suffixes = []  # its rows depend on the lead lengths
         code = self.encode(lead)
         self.codes[code] = g
-        self._words[code] = lead
         self.tails.pop(code, None)
         return lead
 
@@ -141,26 +139,6 @@ class LeadIndex:
         for r in range(shortest + len(rows), n + 1):
             rows.append((powers[r - 1], powers[r], tuple([powers[r - L] for L in self.lengths if L <= r])))
         return self.codes, self.tails, rows
-
-    def encode(self, word) -> int:
-        base, digit = self._base, self._digit
-        code = 0
-        for g in word:
-            code = code * base + digit[g]
-        return code
-
-    def decode(self, code) -> tuple:
-        """The word of a packed code, decoded once per index."""
-        w = self._words.get(code)
-        if w is None:
-            base, letter = self._base, self._letter
-            digits = []
-            rest = code
-            while rest:
-                rest, d = divmod(rest, base)
-                digits.append(letter[d])
-            w = self._words[code] = tuple(reversed(digits))
-        return w
 
     def is_normal(self, word) -> bool:
         """No lead word of the index occurs in `word`: one packed redex
@@ -217,9 +195,10 @@ class GroebnerBasis:
     (empty for a basis built directly).  `index` keeps the elements under
     their lead codes; `leads`, when given, are the elements' lead words, so
     the index scans none.  Two elements with one lead are refused, since
-    the index keeps one element per lead.  A basis built directly need not
-    be reduced for `reduce`, `normal_words` and `hilbert_coeffs`; `extend`
-    checks that it is.
+    the index keeps one element per lead, and so are elements over another
+    field or generator count.  A basis built directly need not be reduced
+    for `reduce`, `normal_words` and `hilbert_coeffs`; `extend` checks that
+    it is.
     """
 
     __slots__ = ("presentation", "elements", "degree_bound", "stats", "index", "_automaton")
@@ -229,6 +208,8 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.degree_bound = degree_bound
         self.stats = tuple(stats)
+        for g in self.elements:
+            self._check(g, "as an element of")
         self.index = LeadIndex(presentation.order, self.elements, leads)
         if len(self.index.codes) < len(self.elements):
             leads = [g.leading_word(self.order) for g in self.elements]
@@ -293,17 +274,18 @@ class GroebnerBasis:
         """Normal form of f; f must lie over the basis's field and generators,
         and may not exceed the certified degree, since above it the basis is
         incomplete and the remainder not unique."""
-        if f.field != self.field:
-            raise MixedFieldsError(f"reduction of a {f.field.name()} polynomial by a {self.field.name()} basis")
-        if f.ngens != self.presentation.ngens:
-            raise DimensionMismatchError(
-                f"reduction of a {f.ngens}-generator polynomial by a {self.presentation.ngens}-generator basis"
-            )
+        self._check(f, "reduced by")
         if f and f.degree() > self.degree_bound:
             raise IncompleteBasisError(
                 f"reduction of a degree-{f.degree()} polynomial, basis certified to {self.degree_bound}"
             )
         return self.index.reduce(f)
+
+    def _check(self, f, role):
+        if f.field != self.field:
+            raise MixedFieldsError(f"a {f.field.name()} polynomial {role} a {self.field.name()} basis")
+        if f.ngens != (n := self.presentation.ngens):
+            raise DimensionMismatchError(f"a polynomial in {f.ngens} generators {role} a basis in {n}")
 
 
 class DegreeStats(NamedTuple):
@@ -633,8 +615,8 @@ def hilbert_coeffs(basis: GroebnerBasis, degree: int):
 def _graded_dims(presentation: Presentation, degree: int) -> list:
     """[dim A_0, ..., dim A_degree] from one degree-by-degree sweep.
 
-    The sweep labels words by their packed codes (`MonomialOrder.digits`),
-    so deg-lex order is integer order.  A_k is spanned by the products
+    The sweep labels words by their packed codes (`MonomialOrder`), so
+    deg-lex order is integer order.  A_k is spanned by the products
     x_i*b, for x_i a generator and b a basis word of A_{k-1}; these are the
     columns, labelled by the code of the word (i,)+b, which is
     digit(i) * B^(k-1) + code(b).  The rows are r*u, for r a relation of

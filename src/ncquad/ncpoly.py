@@ -4,7 +4,9 @@ substitutions, and the cyclic operators behind potential algebras.
 A word is a tuple of 0-based generator indices; a polynomial is a mapping
 from words to nonzero field elements.  The monomial order compares by total
 degree first, then left-to-right by generator precedence (index 0 largest by
-default), and is compatible with multiplication on both sides.
+default), and is compatible with multiplication on both sides; its precedence
+is a permutation of the generators.  The order also encodes words as packed
+ints and decodes them, one tuple per code for every basis over it.
 
 Text syntax: `+`/`-`-joined terms of `*`-separated factors, such as
 `x*y - 1/2*w*y*x + 3*zz`.  A factor is a scalar literal of the field, a unit
@@ -30,33 +32,61 @@ from .errors import (
 from .linalg import mat_inverse, mat_mul
 from .scalars import write_terms
 
-Word = tuple  # tuple of generator indices
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Degree-lex order given by a precedence table: rank 0 is the largest generator."""
+    """Degree-lex order given by a precedence table, a permutation of
+    0..ngens-1 in which rank 0 is the largest generator, and the one home of
+    the packed word codes of the exact engines.
+
+    With B = ngens + 1, generator g is the digit ngens - rank(g), which lies
+    in 1..ngens, and the word g_1...g_n is the base-B number with digits
+    g_1, ..., g_n, most significant first.  So distinct words, of any
+    lengths, have distinct codes, deg-lex order is integer order, and the
+    empty word is 0: the code is the order's key.  `decode` keeps one tuple
+    per code, outside the order's equality, hash and repr, so the leads,
+    normal forms and elements of every basis over this order share their
+    word tuples.
+    """
 
     precedence: tuple
 
-    def key(self, word):
-        # ranks negated so that bigger key means bigger word
-        return (len(word), tuple(-self.precedence[g] for g in word))
+    def __post_init__(self):
+        n = len(self.precedence)
+        if sorted(self.precedence) != list(range(n)):
+            raise ValueError(f"precedence {self.precedence} is not a permutation of 0..{n - 1}")
+        object.__setattr__(self, "_digit", tuple(n - rank for rank in self.precedence))
+        object.__setattr__(self, "_letter", (None, *reversed(self.gens_descending())))
+        object.__setattr__(self, "_words", {})
 
     def gens_descending(self):
         return sorted(range(len(self.precedence)), key=lambda g: self.precedence[g])
 
     def digits(self):
-        """Each generator's digit in the packed word codes of the exact engines.
+        """Each generator's digit in the packed word codes."""
+        return self._digit
 
-        With B = ngens + 1, generator g is the digit ngens - rank(g), which
-        lies in 1..ngens, and the word g_1...g_n is the base-B number with
-        digits g_1, ..., g_n, most significant first.  So distinct words, of
-        any lengths, have distinct codes, deg-lex order is integer order, and
-        the empty word is 0.
-        """
-        n = len(self.precedence)
-        return [n - rank for rank in self.precedence]
+    def encode(self, word) -> int:
+        base, digit = len(self._digit) + 1, self._digit
+        code = 0
+        for g in word:
+            code = code * base + digit[g]
+        return code
+
+    key = encode
+
+    def decode(self, code) -> tuple:
+        """The word of a packed code, decoded once per order."""
+        w = self._words.get(code)
+        if w is None:
+            base, letter = len(self._letter), self._letter
+            digits = []
+            rest = code
+            while rest:
+                rest, d = divmod(rest, base)
+                digits.append(letter[d])
+            w = self._words[code] = tuple(reversed(digits))
+        return w
 
 
 def degree_lex(ngens):
@@ -226,11 +256,14 @@ class LinearSub:
     field: object
     matrix: tuple  # rows; matrix[i][j] = coefficient of generator i in image of j
 
+    def __post_init__(self):
+        if any(len(row) != len(self.matrix) for row in self.matrix):
+            raise DimensionMismatchError(f"substitution matrix of {len(self.matrix)} rows is not square")
+
     @classmethod
     def from_columns(cls, field, columns):
-        n = len(columns)
-        rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-        return cls(field, rows)
+        by_columns = cls(field, tuple(map(tuple, columns)))  # refused unless square
+        return cls(field, tuple(zip(*by_columns.matrix)))
 
     @classmethod
     def identity(cls, field, n):

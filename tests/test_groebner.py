@@ -770,6 +770,10 @@ def test_normal_forms_share_words_and_elements():
     # `complete`
     p = staircase_pairs(505)[1]
     g = complete(p, 10)
+    # the order decodes each word once, so a second completion over it
+    # shares the first one's word tuples
+    words = {w: w for e in g.elements for w in e.terms}
+    assert all(words[w] is w for e in complete(p, 8).elements for w in e.terms)
     f31 = p.field
     rng = random.Random(1010)
     words = [tuple(rng.randrange(3) for _ in range(8)) for _ in range(6)]
@@ -956,6 +960,24 @@ def test_presentation_rejects_other_generator_count():
         Presentation(QQ, 3, (parse_poly("x*y + y*x", QQ, ("x", "y")),))
     with pytest.raises(DimensionMismatchError):
         Presentation(QQ, 2, (parse_poly("z*z + x*y", QQ, NAMES),))
+    # an order must rank exactly the presentation's generators
+    for precedence in ((0, 1), (2, 1, 0, 3)):
+        with pytest.raises(DimensionMismatchError):
+            Presentation(QQ, 3, (parse_poly("x*y - y*x", QQ, NAMES),), order=MonomialOrder(precedence))
+
+
+def test_basis_refuses_elements_of_another_field_or_generator_count():
+    # the q-commuting relations: GF(7) reads 10 as 3, so a GF(7) basis taken
+    # as a GF(31) one would reduce x*y to 3*y*x
+    texts = ["x*y - 10*y*x", "y*z - z*y", "z*x - x*z"]
+    p7, p31 = pres(texts, GF(7)), pres(texts, GF(31))
+    g31 = complete(p31, 4)
+    assert g31.reduce(parse_poly("x*y", GF(31), NAMES)) == parse_poly("10*y*x", GF(31), NAMES)
+    with pytest.raises(MixedFieldsError):
+        GroebnerBasis(p31, complete(p7, 4).elements, 4)
+    four = NcPoly.monomial(GF(31), 4, (3, X)) - NcPoly.monomial(GF(31), 4, (X, 3))
+    with pytest.raises(DimensionMismatchError):
+        GroebnerBasis(p31, [*g31.elements, four], 4)
 
 
 def is_reduced(g):

@@ -1,13 +1,24 @@
 """Free-algebra polynomials, the monomial order, substitutions, cyclic maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ncquad import GF, QQ, QQ_THETA, MixedFieldsError, ParseError, ThetaRational, UnknownGeneratorError
+from ncquad import (
+    GF,
+    QQ,
+    QQ_THETA,
+    DimensionMismatchError,
+    MixedFieldsError,
+    ParseError,
+    ThetaRational,
+    UnknownGeneratorError,
+)
 from ncquad.ncpoly import (
     LinearSub,
+    MonomialOrder,
     NcPoly,
     apply_sub,
     cyclic_derivative,
@@ -75,6 +86,28 @@ def test_compare_words():
     # xx > xy > yz, the leading words of the triangular presentation
     ws = sorted([(X, Y), (Y, Z), (X, X)], key=ORD3.key, reverse=True)
     assert ws == [(X, X), (X, Y), (Y, Z)]
+
+
+def test_order_codec_and_key():
+    # the tuple key the packed codes replaced is the reference: deg-lex with
+    # the precedence's rank 0 largest
+    orders = [MonomialOrder(p) for p in itertools.permutations(range(3))]
+    orders.append(MonomialOrder(tuple(random.Random(12).sample(range(10), 10))))
+    for order in orders:
+        prec = order.precedence
+        words = [w for k in range(6) for w in itertools.product(range(len(prec)), repeat=k)]
+        decoded = [order.decode(order.encode(w)) for w in words]
+        assert decoded == words
+        assert all(order.decode(order.encode(w)) is u for w, u in zip(words, decoded))
+        assert sorted(words, key=order.key) == sorted(words, key=lambda w: (len(w), tuple(-prec[g] for g in w)))
+
+
+def test_order_refuses_precedence_not_a_permutation():
+    # refused at construction: a completion under such an order gives wrong
+    # dimensions or does not stop
+    for precedence in ((0, 0, 1), (0, 1, 5)):
+        with pytest.raises(ValueError):
+            MonomialOrder(precedence)
 
 
 def random_word(rng, maxlen=4):
@@ -220,6 +253,14 @@ def test_sub_composition_and_degree():
         if g:
             h = apply_sub(g, s1)
             assert (not h) or (h.is_homogeneous() and h.degree() == 3)
+
+
+def test_sub_refuses_matrix_not_square():
+    for matrix in (((1, 2, 0, 5), (0, 1, 0), (0, 0, 1)), ((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(DimensionMismatchError):
+            LinearSub(QQ, tuple(tuple(map(Fraction, row)) for row in matrix))
+        with pytest.raises(DimensionMismatchError):
+            LinearSub.from_columns(QQ, [list(map(Fraction, column)) for column in matrix])
 
 
 def expand_reference(sub, f):
