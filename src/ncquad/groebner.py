@@ -71,16 +71,15 @@ class LeadIndex:
     `steps` counts the reduction steps taken through the index.
 
     The reduction kernel carries each word as one int, its packed code in
-    base B = ngens + 1, which the order encodes and decodes
-    (`MonomialOrder`): deg-lex order is integer order, and the empty word
-    is 0.  `codes` is the one store of the leads:
-    it sends the code of each lead to its element, in the order the leads
-    joined.  `tails` holds, per lead code, the element's other terms as two
-    tuples: their (code, B^length) pairs and the values of their negated
-    coefficients, each value being `field.lift` of it (`scalars.Field`).  A
-    tail is built the first time a reduction rewrites with its element or
-    an S-polynomial (`s_polynomial`) reads it, and `add` drops it when the
-    element is replaced.
+    base B = ngens + 1, which the order (`MonomialOrder`) encodes and
+    decodes: deg-lex order is integer order, and the empty word is 0.
+    `codes` is the one store of the leads: it sends the code of each lead
+    to its element, in the order the leads joined.  `tails` holds, per lead
+    code, the element's other terms as two tuples: their (code, B^length)
+    pairs and the values of their negated coefficients, each value being
+    `field.lift` of it (`scalars.Field`).  A tail is built the first time a
+    reduction rewrites with its element or an S-polynomial (`s_polynomial`)
+    reads it, and `add` drops it when the element is replaced.
 
     `unpack` decodes each word of a packed normal form through the order,
     which keeps one tuple per code, so the leads, the normal forms and the

@@ -35,18 +35,15 @@ from .scalars import write_terms
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Degree-lex order given by a precedence table, a permutation of
-    0..ngens-1 in which rank 0 is the largest generator, and the one home of
-    the packed word codes of the exact engines.
+    """Degree-lex order given by a precedence, a permutation of 0..ngens-1
+    in which rank 0 is the largest generator; it packs words into ints.
 
-    With B = ngens + 1, generator g is the digit ngens - rank(g), which lies
-    in 1..ngens, and the word g_1...g_n is the base-B number with digits
-    g_1, ..., g_n, most significant first.  So distinct words, of any
-    lengths, have distinct codes, deg-lex order is integer order, and the
-    empty word is 0: the code is the order's key.  `decode` keeps one tuple
-    per code, outside the order's equality, hash and repr, so the leads,
-    normal forms and elements of every basis over this order share their
-    word tuples.
+    With B = ngens + 1, generator g is the digit ngens - rank(g), in
+    1..ngens, and a word is the base-B number of its letters' digits, most
+    significant first.  So distinct words of any lengths have distinct
+    codes, deg-lex order is integer order (the code is the key), and the
+    empty word is 0.  `decode` keeps one tuple per code, outside the order's
+    equality, hash and repr, so every basis over the order shares its words.
     """
 
     precedence: tuple
